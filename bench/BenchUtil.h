@@ -22,6 +22,7 @@
 #include "support/StringUtil.h"
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
+#include "targets/AsmEmitter.h"
 #include "targets/Target.h"
 #include "workload/Corpus.h"
 #include "workload/Synthetic.h"
@@ -263,26 +264,9 @@ inline unsigned emittedInstructions(const Grammar &G, const ir::IRFunction &F,
                                     const Labeling &L,
                                     const DynCostTable *Dyn) {
   Selection S = cantFail(reduce(G, F, L, Dyn));
-  unsigned Count = 0;
-  for (const Match &M : S.Matches) {
-    const std::string &T = G.sourceRule(M.Source).EmitTemplate;
-    if (T.empty())
-      continue;
-    // Count instruction lines: alias-only templates emit nothing.
-    std::size_t Pos = 0;
-    while (true) {
-      std::size_t Next = T.find("\\n", Pos);
-      std::string_view Line(T.data() + Pos,
-                            (Next == std::string::npos ? T.size() : Next) -
-                                Pos);
-      if (!Line.empty() && Line[0] != '=')
-        ++Count;
-      if (Next == std::string::npos)
-        break;
-      Pos = Next + 2;
-    }
-  }
-  return Count;
+  targets::AsmBuffer Out;
+  cantFail(targets::emitAsm(G, F, S, Out));
+  return Out.Instructions;
 }
 
 } // namespace bench

@@ -42,9 +42,10 @@ int main() {
     OnDemandAutomaton A(T->G, &T->Dyn);
     A.labelFunction(F);
     Selection S = cantFail(reduce(T->G, F, A, &T->Dyn));
-    targets::AsmOutput Asm = cantFail(targets::emitAsm(T->G, F, S));
+    targets::AsmBuffer Asm;
+    cantFail(targets::emitAsm(T->G, F, S, Asm));
     Table.addRow({Name, std::to_string(F.size()),
-                  std::to_string(Asm.instructions()),
+                  std::to_string(Asm.Instructions),
                   std::to_string(S.TotalCost.value()),
                   std::to_string(A.numStates())});
   }
@@ -58,9 +59,10 @@ int main() {
     OnDemandAutomaton A(T->G, &T->Dyn);
     A.labelFunction(F);
     Selection S = cantFail(reduce(T->G, F, A, &T->Dyn));
-    targets::AsmOutput Asm = cantFail(targets::emitAsm(T->G, F, S));
+    targets::AsmBuffer Asm;
+    cantFail(targets::emitAsm(T->G, F, S, Asm));
     std::printf("\n--- %s (%u instructions) ---\n%s", Name,
-                Asm.instructions(), Asm.text().c_str());
+                Asm.Instructions, Asm.Text.c_str());
   }
   return 0;
 }

@@ -43,9 +43,10 @@ static void show(const char *Title, const Grammar &G, const DynCostTable *Dyn,
   OnDemandAutomaton A(G, Dyn);
   A.labelFunction(F);
   Selection S = cantFail(reduce(G, F, A, Dyn));
-  AsmOutput Asm = cantFail(emitAsm(G, F, S));
+  AsmBuffer Asm;
+  cantFail(emitAsm(G, F, S, Asm));
   std::printf("%s (cost %u, %u instructions):\n%s\n", Title,
-              S.TotalCost.value(), Asm.instructions(), Asm.text().c_str());
+              S.TotalCost.value(), Asm.Instructions, Asm.Text.c_str());
 }
 
 int main() {

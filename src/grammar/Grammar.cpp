@@ -231,8 +231,10 @@ Error Grammar::finalize() {
   assert(!Finalized && "finalize() called twice");
   if (Error E = validate())
     return E;
+  NumSourceNts = numNonterminals();
   if (Error E = buildNormalForm())
     return E;
+  Emit.compile(SourceRules);
   Finalized = true;
   return Error::success();
 }

@@ -17,6 +17,7 @@
 #ifndef ODBURG_GRAMMAR_GRAMMAR_H
 #define ODBURG_GRAMMAR_GRAMMAR_H
 
+#include "grammar/EmitProgram.h"
 #include "grammar/Ids.h"
 #include "support/Arena.h"
 #include "support/Cost.h"
@@ -57,7 +58,7 @@ struct SourceRule {
   DynCostId DynHook = InvalidDynCost;
   /// External rule number (unique, 1-based; auto-assigned if not given).
   unsigned ExtNumber = 0;
-  /// Emission template (see targets/AsmEmitter.h for the placeholder
+  /// Emission template (see grammar/EmitProgram.h for the placeholder
   /// language); may be empty.
   std::string EmitTemplate;
 };
@@ -156,6 +157,9 @@ public:
   unsigned numNonterminals() const {
     return static_cast<unsigned>(NtNames.size());
   }
+  /// Nonterminals written in source rules; they have ids below this, the
+  /// helpers of the normal form at or above it.
+  unsigned numSourceNonterminals() const { return NumSourceNts; }
   unsigned numSourceRules() const {
     return static_cast<unsigned>(SourceRules.size());
   }
@@ -179,6 +183,8 @@ public:
   NonterminalId findNonterminal(std::string_view Name) const;
 
   const SourceRule &sourceRule(RuleId R) const { return SourceRules[R]; }
+  /// Every source rule's compiled emission template.
+  const EmitTables &emitTables() const { return Emit; }
   const NormRule &normRule(RuleId R) const { return NormRules[R]; }
 
   /// Normal-form base rules applicable at operator \p Op.
@@ -236,6 +242,8 @@ private:
   std::vector<SmallVector<RuleId, 2>> DynRulesByOp;
   std::vector<RuleId> ChainRuleIds;
   unsigned NumDynRules = 0;
+  unsigned NumSourceNts = 0;
+  EmitTables Emit;
 
   NonterminalId StartNt = InvalidNonterminal;
   Arena PatternArena;

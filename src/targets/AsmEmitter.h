@@ -6,23 +6,20 @@
 ///
 /// \file
 /// Renders a Selection (the reducer's fired rules) into pseudo-assembly
-/// using the emission templates attached to grammar rules.
+/// using the emission templates attached to grammar rules; the template
+/// language is documented in grammar/EmitProgram.h.
 ///
-/// Template language (inside the rule's quoted string):
-///   \n        instruction separator (two characters, backslash + 'n')
-///   =...      a line starting with '=' defines the match's *operand
-///             string* (what parent rules see as %N) instead of emitting
-///             an instruction — used for constants, addressing modes and
-///             condition codes
-///   %0        the match's destination: a fresh virtual register; also
-///             becomes the operand string if no '=' line is present
-///   %1..%9    operand strings of the rule pattern's nonterminal leaves,
-///             numbered left to right
-///   %c        the matched node's payload (symbol if present, else the
-///             integer value)
-///   %%        a literal '%'
+/// Grammar::finalize() compiles each template once into a flat op list,
+/// and emitAsm() runs the ops without parsing text. Operand values live in
+/// per-thread 4-byte slots, one per (node, source nonterminal), as
+/// grammar/EmitProgram.h's EmitValue; composite '=' lines live in a
+/// per-thread arena. Both grow to the largest function their thread has
+/// emitted, so steady-state emission into a reused buffer allocates
+/// nothing.
 ///
-/// An empty template passes operand 1 through (the usual chain-rule case).
+/// A malformed placeholder does not fail the grammar: it compiles to an
+/// error op, and only emitting a match of that rule fails, with the
+/// diagnostic naming the rule's external number.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,33 +32,13 @@
 #include "support/Error.h"
 
 #include <string>
-#include <vector>
 
 namespace odburg {
 namespace targets {
 
-/// The emitted code for one function.
-struct AsmOutput {
-  /// Instruction lines, in emission order.
-  std::vector<std::string> Lines;
-  /// Instruction count (== Lines.size(), kept for clarity at call sites).
-  unsigned instructions() const { return static_cast<unsigned>(Lines.size()); }
-  /// Total character count, the code-size proxy used in experiments.
-  std::size_t sizeBytes() const;
-  /// All lines joined with newlines.
-  std::string text() const;
-};
-
-/// Renders \p S (produced against \p G and \p F) into assembly.
-/// Fails on malformed templates (bad placeholder indices).
-Expected<AsmOutput> emitAsm(const Grammar &G, const ir::IRFunction &F,
-                            const Selection &S);
-
-/// A flat emit target: instruction lines are appended to Text,
-/// newline-terminated, instead of being materialized as one string each.
-/// This is the batch-pipeline form — each worker emits a function into a
-/// private buffer and the session concatenates the buffers in corpus
-/// order, which is byte-identical to emitting everything serially.
+/// The emit target: newline-terminated instruction lines. Batch workers
+/// emit into private buffers that the session concatenates in corpus
+/// order, byte-identical to emitting everything serially.
 struct AsmBuffer {
   /// Newline-terminated instruction lines, in emission order.
   std::string Text;
@@ -72,13 +49,13 @@ struct AsmBuffer {
     Text.clear();
     Instructions = 0;
   }
-  std::size_t sizeBytes() const { return Text.size(); }
 };
 
-/// Renders \p S into \p Out, appending. Virtual-register numbering starts
-/// fresh per call, so per-function output is independent of what else the
-/// buffer holds. Fails on malformed templates, leaving \p Out with the
-/// lines emitted before the failure.
+/// Renders \p S (produced against \p G and \p F) into \p Out, appending.
+/// Virtual-register numbering starts fresh per call, so per-function
+/// output is independent of what else the buffer holds. Fails when a
+/// fired rule's template is malformed, leaving \p Out with the lines
+/// emitted before the failure.
 Error emitAsm(const Grammar &G, const ir::IRFunction &F, const Selection &S,
               AsmBuffer &Out);
 

@@ -14,7 +14,7 @@
 ///
 /// Emission templates are illustrative three-operand pseudo-assembly in
 /// AT&T flavor; `\n` separates instructions, a leading `=` defines an
-/// operand alias instead of emitting code (see targets/AsmEmitter.h).
+/// operand alias instead of emitting code (see grammar/EmitProgram.h).
 ///
 //===----------------------------------------------------------------------===//
 

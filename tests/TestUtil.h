@@ -24,9 +24,23 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace odburg {
 namespace test {
+
+/// Splits newline-terminated assembly text (targets::AsmBuffer::Text)
+/// into its lines, without the newlines.
+inline std::vector<std::string> asmLines(std::string_view Text) {
+  std::vector<std::string> Lines;
+  while (!Text.empty()) {
+    std::size_t End = Text.find('\n');
+    Lines.emplace_back(Text.substr(0, End));
+    Text.remove_prefix(End == std::string_view::npos ? Text.size() : End + 1);
+  }
+  return Lines;
+}
 
 /// Asserts that two labelings agree on \p F: identical rules everywhere,
 /// and costs equal up to one per-node delta (automaton engines normalize

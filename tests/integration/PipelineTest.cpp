@@ -27,6 +27,12 @@ using namespace odburg::workload;
 
 namespace {
 
+AsmBuffer emit(const Grammar &G, const ir::IRFunction &F, const Selection &S) {
+  AsmBuffer Out;
+  cantFail(emitAsm(G, F, S, Out));
+  return Out;
+}
+
 struct PipelineCase {
   std::string TargetName;
   std::string ProgramName;
@@ -56,14 +62,14 @@ TEST_P(Pipeline, DpAndOnDemandEmitIdenticalCode) {
 
   DPLabeling Ref = DPLabeler(T->G, &T->Dyn).label(F);
   Selection SRef = cantFail(reduce(T->G, F, Ref, &T->Dyn));
-  AsmOutput AsmRef = cantFail(emitAsm(T->G, F, SRef));
+  AsmBuffer AsmRef = emit(T->G, F, SRef);
 
   OnDemandAutomaton A(T->G, &T->Dyn);
   A.labelFunction(F);
   Selection SAuto = cantFail(reduce(T->G, F, A, &T->Dyn));
-  AsmOutput AsmAuto = cantFail(emitAsm(T->G, F, SAuto));
+  AsmBuffer AsmAuto = emit(T->G, F, SAuto);
 
-  EXPECT_EQ(AsmRef.text(), AsmAuto.text());
+  EXPECT_EQ(AsmRef.Text, AsmAuto.Text);
   EXPECT_EQ(SRef.TotalCost, SAuto.TotalCost);
 }
 
@@ -74,15 +80,15 @@ TEST_P(Pipeline, OfflineEmitsIdenticalCodeOnFixedGrammar) {
 
   DPLabeling Ref = DPLabeler(T->Fixed).label(F);
   Selection SRef = cantFail(reduce(T->Fixed, F, Ref));
-  AsmOutput AsmRef = cantFail(emitAsm(T->Fixed, F, SRef));
+  AsmBuffer AsmRef = emit(T->Fixed, F, SRef);
 
   CompiledTables Tables = cantFail(OfflineTableGen(T->Fixed).generate());
   TableLabeler L(Tables);
   L.labelFunction(F);
   Selection SOff = cantFail(reduce(T->Fixed, F, L));
-  AsmOutput AsmOff = cantFail(emitAsm(T->Fixed, F, SOff));
+  AsmBuffer AsmOff = emit(T->Fixed, F, SOff);
 
-  EXPECT_EQ(AsmRef.text(), AsmOff.text());
+  EXPECT_EQ(AsmRef.Text, AsmOff.Text);
 }
 
 INSTANTIATE_TEST_SUITE_P(CorpusByTarget, Pipeline,
@@ -181,13 +187,13 @@ TEST(PipelineDag, SharedSubtreesLabeledOnceEmittedOnce) {
   A.labelFunction(F, &Stats);
   EXPECT_EQ(Stats.NodesLabeled, F.size()); // 7 nodes, shared Mul once.
   Selection S = cantFail(reduce(T->G, F, A, &T->Dyn));
-  AsmOutput Asm = cantFail(emitAsm(T->G, F, S));
+  AsmBuffer Asm = emit(T->G, F, S);
   // Exactly one imulq despite two uses; both stores read the same vreg.
   unsigned Muls = 0;
-  for (const std::string &L : Asm.Lines)
+  for (const std::string &L : test::asmLines(Asm.Text))
     Muls += L.find("imulq") != std::string::npos;
   EXPECT_EQ(Muls, 1u);
-  ASSERT_EQ(Asm.instructions(), 3u); // imulq + two movq-to-memory.
+  ASSERT_EQ(Asm.Instructions, 3u); // imulq + two movq-to-memory.
 }
 
 TEST(PipelineQuality, DynamicCostsImproveCorpusCode) {

@@ -69,9 +69,10 @@ TEST(CompileSession, MatchesOneOffPipelinePerFunction) {
     ASSERT_TRUE(Results[I].ok()) << Results[I].Diagnostic;
     DPLabeling Ref = DPLabeler(T->G, &T->Dyn).label(Corpus[I]);
     Selection SRef = cantFail(reduce(T->G, Corpus[I], Ref, &T->Dyn));
-    AsmOutput AsmRef = cantFail(emitAsm(T->G, Corpus[I], SRef));
-    EXPECT_EQ(Results[I].Asm, AsmRef.text());
-    EXPECT_EQ(Results[I].Instructions, AsmRef.instructions());
+    AsmBuffer AsmRef;
+    cantFail(emitAsm(T->G, Corpus[I], SRef, AsmRef));
+    EXPECT_EQ(Results[I].Asm, AsmRef.Text);
+    EXPECT_EQ(Results[I].Instructions, AsmRef.Instructions);
     EXPECT_EQ(Results[I].Sel.TotalCost, SRef.TotalCost);
   }
 }

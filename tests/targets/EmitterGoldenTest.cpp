@@ -1,4 +1,4 @@
-//===- tests/targets/EmitterGoldenTest.cpp ----------------------------------===//
+//===- tests/targets/EmitterGoldenTest.cpp --------------------------------===//
 //
 // Part of the odburg project.
 //

@@ -10,6 +10,7 @@
 #include "select/DPLabeler.h"
 #include "select/Reducer.h"
 #include "targets/Target.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -25,10 +26,12 @@ protected:
     Ops = cantFail(resolveCanonicalOps(T->G));
   }
 
-  AsmOutput compile(ir::IRFunction &F) {
+  AsmBuffer compile(ir::IRFunction &F) {
     DPLabeling L = DPLabeler(T->G, &T->Dyn).label(F);
     Selection S = cantFail(reduce(T->G, F, L, &T->Dyn));
-    return cantFail(emitAsm(T->G, F, S));
+    AsmBuffer Out;
+    cantFail(emitAsm(T->G, F, S, Out));
+    return Out;
   }
 
   std::unique_ptr<Target> T;
@@ -43,9 +46,11 @@ TEST_F(EmitterTest, StoresConstantToFrameSlot) {
   ir::Node *C = F.makeLeaf(Ops.Const, 7);
   SmallVector<ir::Node *, 2> SC{Addr, C};
   F.addRoot(F.makeNode(Ops.Store, SC));
-  AsmOutput Out = compile(F);
-  ASSERT_EQ(Out.instructions(), 1u);
-  EXPECT_EQ(Out.Lines[0], "movq $7, 24(%rbp)");
+  AsmBuffer Out = compile(F);
+  std::vector<std::string> Lines = test::asmLines(Out.Text);
+  ASSERT_EQ(Lines.size(), 1u);
+  EXPECT_EQ(Out.Instructions, 1u);
+  EXPECT_EQ(Lines[0], "movq $7, 24(%rbp)");
 }
 
 TEST_F(EmitterTest, RmwFusesToSingleInstruction) {
@@ -59,10 +64,12 @@ TEST_F(EmitterTest, RmwFusesToSingleInstruction) {
   ir::Node *Sum = F.makeNode(Ops.Add, AC);
   SmallVector<ir::Node *, 2> SC{A1, Sum};
   F.addRoot(F.makeNode(Ops.Store, SC));
-  AsmOutput Out = compile(F);
+  AsmBuffer Out = compile(F);
+  std::vector<std::string> Lines = test::asmLines(Out.Text);
   // x = x + 1 is one read-modify-write instruction.
-  ASSERT_EQ(Out.instructions(), 1u);
-  EXPECT_EQ(Out.Lines[0], "addq $1, 8(%rbp)");
+  ASSERT_EQ(Lines.size(), 1u);
+  EXPECT_EQ(Out.Instructions, 1u);
+  EXPECT_EQ(Lines[0], "addq $1, 8(%rbp)");
 }
 
 TEST_F(EmitterTest, MemoryOperandFolding) {
@@ -77,10 +84,12 @@ TEST_F(EmitterTest, MemoryOperandFolding) {
   ir::Node *Dst = F.makeLeaf(Ops.AddrL, 32);
   SmallVector<ir::Node *, 2> SC{Dst, Sum};
   F.addRoot(F.makeNode(Ops.Store, SC));
-  AsmOutput Out = compile(F);
-  ASSERT_EQ(Out.instructions(), 2u);
-  EXPECT_EQ(Out.Lines[0], "addq 16(%rbp), %r3, %v0");
-  EXPECT_EQ(Out.Lines[1], "movq %v0, 32(%rbp)");
+  AsmBuffer Out = compile(F);
+  std::vector<std::string> Lines = test::asmLines(Out.Text);
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_EQ(Out.Instructions, 2u);
+  EXPECT_EQ(Lines[0], "addq 16(%rbp), %r3, %v0");
+  EXPECT_EQ(Lines[1], "movq %v0, 32(%rbp)");
 }
 
 TEST_F(EmitterTest, CompareBranchUsesConditionAlias) {
@@ -91,20 +100,24 @@ TEST_F(EmitterTest, CompareBranchUsesConditionAlias) {
   ir::Node *Cmp = F.makeNode(Ops.CmpLT, CC);
   SmallVector<ir::Node *, 1> BC{Cmp};
   F.addRoot(F.makeNode(Ops.CBr, BC, 5));
-  AsmOutput Out = compile(F);
-  ASSERT_EQ(Out.instructions(), 2u);
-  EXPECT_EQ(Out.Lines[0], "cmpq %r2, %r1");
-  EXPECT_EQ(Out.Lines[1], "jl .L5");
+  AsmBuffer Out = compile(F);
+  std::vector<std::string> Lines = test::asmLines(Out.Text);
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_EQ(Out.Instructions, 2u);
+  EXPECT_EQ(Lines[0], "cmpq %r2, %r1");
+  EXPECT_EQ(Lines[1], "jl .L5");
 }
 
 TEST_F(EmitterTest, LabelsAndJumps) {
   ir::IRFunction F;
   F.addRoot(F.makeLeaf(Ops.Label, 3));
   F.addRoot(F.makeLeaf(Ops.Br, 3));
-  AsmOutput Out = compile(F);
-  ASSERT_EQ(Out.instructions(), 2u);
-  EXPECT_EQ(Out.Lines[0], ".L3:");
-  EXPECT_EQ(Out.Lines[1], "jmp .L3");
+  AsmBuffer Out = compile(F);
+  std::vector<std::string> Lines = test::asmLines(Out.Text);
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_EQ(Out.Instructions, 2u);
+  EXPECT_EQ(Lines[0], ".L3:");
+  EXPECT_EQ(Lines[1], "jmp .L3");
 }
 
 TEST_F(EmitterTest, VregsAreDistinct) {
@@ -118,18 +131,25 @@ TEST_F(EmitterTest, VregsAreDistinct) {
   ir::Node *Prod = F.makeNode(Ops.Mul, C3);
   SmallVector<ir::Node *, 1> RC{Prod};
   F.addRoot(F.makeNode(Ops.Ret, RC));
-  AsmOutput Out = compile(F);
-  ASSERT_GE(Out.instructions(), 3u);
-  EXPECT_NE(Out.Lines[0], Out.Lines[1]);
-  EXPECT_NE(Out.text().find("%v0"), std::string::npos);
-  EXPECT_NE(Out.text().find("%v1"), std::string::npos);
+  AsmBuffer Out = compile(F);
+  std::vector<std::string> Lines = test::asmLines(Out.Text);
+  ASSERT_GE(Lines.size(), 3u);
+  EXPECT_EQ(Out.Instructions, Lines.size());
+  EXPECT_NE(Lines[0], Lines[1]);
+  EXPECT_NE(Out.Text.find("%v0"), std::string::npos);
+  EXPECT_NE(Out.Text.find("%v1"), std::string::npos);
 }
 
 TEST_F(EmitterTest, SizeBytesCountsText) {
   ir::IRFunction F;
   F.addRoot(F.makeLeaf(Ops.Label, 1));
-  AsmOutput Out = compile(F);
-  EXPECT_EQ(Out.sizeBytes(), Out.text().size());
+  AsmBuffer Out = compile(F);
+  std::vector<std::string> Lines = test::asmLines(Out.Text);
+  std::size_t LineBytes = 0;
+  for (const std::string &L : Lines)
+    LineBytes += L.size() + 1;
+  EXPECT_EQ(Out.Text.size(), LineBytes);
+  EXPECT_EQ(Out.Instructions, Lines.size());
 }
 
 TEST(EmitterErrors, BadPlaceholderIndexReported) {
@@ -145,9 +165,10 @@ TEST(EmitterErrors, BadPlaceholderIndexReported) {
   F.addRoot(F.makeNode(StoreOp, C));
   DPLabeling L = DPLabeler(G).label(F);
   Selection S = cantFail(reduce(G, F, L));
-  Expected<targets::AsmOutput> Out = targets::emitAsm(G, F, S);
-  ASSERT_FALSE(static_cast<bool>(Out));
-  EXPECT_NE(Out.message().find("%3"), std::string::npos);
+  AsmBuffer Out;
+  Error E = emitAsm(G, F, S, Out);
+  ASSERT_TRUE(static_cast<bool>(E));
+  EXPECT_NE(E.message().find("%3"), std::string::npos);
 }
 
 namespace {

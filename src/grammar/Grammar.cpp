@@ -14,6 +14,11 @@
 
 using namespace odburg;
 
+// Out of line on purpose: with it inlined into the std::vector<NormRule>
+// reallocation in buildNormalForm, GCC 12 loses track of Operands' heap
+// buffer and raises a false -Wmismatched-new-delete on SmallVector's free.
+NormRule::NormRule(NormRule &&) noexcept = default;
+
 OperatorId Grammar::addOperator(std::string_view Name, unsigned Arity) {
   assert(!Finalized && "grammar is frozen");
   auto It = OpByName.find(std::string(Name));

@@ -86,6 +86,12 @@ struct NormRule {
   /// of a split rule). Only final rules trigger emission.
   bool IsFinal = true;
 
+  NormRule() = default;
+  NormRule(const NormRule &) = default;
+  NormRule(NormRule &&) noexcept;
+  NormRule &operator=(const NormRule &) = default;
+  NormRule &operator=(NormRule &&) = default;
+
   bool isChain() const { return ChainRhs != InvalidNonterminal; }
 };
 

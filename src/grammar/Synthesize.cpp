@@ -11,6 +11,18 @@
 
 using namespace odburg;
 
+namespace {
+
+/// "<Prefix><I>", built by append: GCC 12 raises a false -Wrestrict on
+/// the operator+ form.
+std::string indexedName(char Prefix, unsigned I) {
+  std::string Name(1, Prefix);
+  Name += std::to_string(I);
+  return Name;
+}
+
+} // namespace
+
 Expected<Grammar> odburg::synthesizeGrammar(const SynthesisParams &P) {
   if (P.NumNts < 2 || P.NumLeafOps == 0)
     return Error::make("synthesis needs >= 2 nonterminals and a leaf "
@@ -20,15 +32,15 @@ Expected<Grammar> odburg::synthesizeGrammar(const SynthesisParams &P) {
 
   SmallVector<NonterminalId, 8> Nts;
   for (unsigned I = 0; I < P.NumNts; ++I)
-    Nts.push_back(G.addNonterminal("v" + std::to_string(I)));
+    Nts.push_back(G.addNonterminal(indexedName('v', I)));
 
   SmallVector<OperatorId, 8> LeafOps, UnaryOps, BinaryOps;
   for (unsigned I = 0; I < P.NumLeafOps; ++I)
-    LeafOps.push_back(G.addOperator("L" + std::to_string(I), 0));
+    LeafOps.push_back(G.addOperator(indexedName('L', I), 0));
   for (unsigned I = 0; I < P.NumUnaryOps; ++I)
-    UnaryOps.push_back(G.addOperator("U" + std::to_string(I), 1));
+    UnaryOps.push_back(G.addOperator(indexedName('U', I), 1));
   for (unsigned I = 0; I < P.NumBinaryOps; ++I)
-    BinaryOps.push_back(G.addOperator("B" + std::to_string(I), 2));
+    BinaryOps.push_back(G.addOperator(indexedName('B', I), 2));
 
   auto RandomNt = [&] { return Nts[Rand.nextBelow(Nts.size())]; };
   auto RandomCost = [&] {

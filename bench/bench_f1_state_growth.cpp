@@ -34,12 +34,8 @@ int main(int Argc, char **Argv) {
   for (ir::Node *N : F.nodes()) {
     A.labelNode(*N, Stats);
     if (Stats.NodesLabeled >= NextReport) {
-      // Fast-path hit rate across both shared tiers (dense rows absorb
-      // probes the hashed cache would otherwise serve).
-      double HitPct = 100.0 *
-                      static_cast<double>(Stats.CacheHits + Stats.DenseHits) /
-                      static_cast<double>(Stats.CacheProbes +
-                                          Stats.DenseProbes);
+      double HitPct = 100.0 * static_cast<double>(Stats.CacheHits) /
+                      static_cast<double>(Stats.CacheProbes);
       std::printf("%10llu %8u %12zu %10.2f\n",
                   static_cast<unsigned long long>(Stats.NodesLabeled),
                   A.numStates(), A.numTransitions(), HitPct);

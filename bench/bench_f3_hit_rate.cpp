@@ -28,15 +28,9 @@ int main(int Argc, char **Argv) {
 
   OnDemandAutomaton A(T->G, &T->Dyn);
   unsigned WindowSize = F.size() / 16;
-  // Fast-path rate across both shared tiers: dense rows absorb probes the
-  // hashed cache would otherwise serve (and on a warm replay can absorb a
-  // window's *every* probe, so the hashed counters alone would divide by
-  // zero).
   auto WindowRate = [](const SelectionStats &Now, const SelectionStats &Prev) {
-    std::uint64_t Probes = (Now.CacheProbes + Now.DenseProbes) -
-                           (Prev.CacheProbes + Prev.DenseProbes);
-    std::uint64_t Hits =
-        (Now.CacheHits + Now.DenseHits) - (Prev.CacheHits + Prev.DenseHits);
+    std::uint64_t Probes = Now.CacheProbes - Prev.CacheProbes;
+    std::uint64_t Hits = Now.CacheHits - Prev.CacheHits;
     return Probes ? 100.0 * static_cast<double>(Hits) /
                         static_cast<double>(Probes)
                   : 100.0;

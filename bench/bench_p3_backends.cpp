@@ -6,7 +6,7 @@
 // runs the end-to-end compile pipeline (label + reduce + emit) over the
 // same fixed-cost x86 corpus on all three LabelerBackends x 1/2/4/8
 // worker threads, reporting cold and warm functions/sec, the warm phase
-// split, shared-cache and L1 hit rates — after verifying that every
+// split and shared-cache hit rate — after verifying that every
 // (backend, thread count) cell produces byte-identical concatenated
 // assembly and an identical total cover cost. Part (b) measures offline
 // table generation, sequential vs. parallel, on the 250-operator
@@ -77,7 +77,7 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned long long>(TotalNodes), Corpus.size(),
       std::thread::hardware_concurrency()));
   Table.setHeader({"backend", "threads", "cold ms", "warm ms", "warm fn/s",
-                   "speedup", "lbl/red/emt %", "hit%", "l1%", "asm"});
+                   "speedup", "lbl/red/emt %", "hit%", "asm"});
 
   std::string Reference;
   Cost ReferenceCost = Cost::zero();
@@ -147,7 +147,6 @@ int main(int Argc, char **Argv) {
                        1),
            formatFixed(BaselineNs / static_cast<double>(WarmNs), 2),
            phaseSplit(Warm), formatFixed(HitPct, 1),
-           formatFixed(100.0 * Warm.l1HitRate(), 1),
            !Identical ? "DIVERGED"
            : (Kind == BackendKind::DP && Threads == 1) ? "reference"
                                                        : "identical"});

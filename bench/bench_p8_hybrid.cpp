@@ -12,7 +12,7 @@
 //       the hybrid degenerates to pure offline dispatch fronting an idle
 //       automaton; comparable against dp, offline, and ondemand alike;
 //   (b) full (mixed-cost) x86 grammar — dyn-hook operators fall to the
-//       automaton's three-tier path, everything else stays on the
+//       automaton's cache probe, everything else stays on the
 //       tables; offline cannot run here, so the row set is dp /
 //       ondemand / hybrid.
 //
@@ -134,7 +134,7 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(TotalNodes),
         std::thread::hardware_concurrency()));
     Table.setHeader({"backend", "threads", "warm ms", "warm fn/s",
-                     "vs dp", "off%", "l1%", "dn%", "asm"});
+                     "vs dp", "off%", "asm"});
 
     for (unsigned Threads : {1u, 2u}) {
       double DpFnPerSec = 0;
@@ -163,8 +163,6 @@ int main(int Argc, char **Argv) {
                       formatFixed(DpFnPerSec ? FnPerSec / DpFnPerSec : 0.0,
                                   2),
                       formatFixed(100.0 * OffRate, 1),
-                      formatFixed(100.0 * C.Warm.l1HitRate(), 1),
-                      formatFixed(100.0 * C.Warm.denseHitRate(), 1),
                       Identical ? "identical" : "DIVERGED"});
         recordJson(Mixed ? "p8b_hybrid_mixed" : "p8a_hybrid_static",
                    {{"backend", jsonQuote(backendName(Kind))},
@@ -173,7 +171,6 @@ int main(int Argc, char **Argv) {
                     {"offline_hit_rate", formatFixed(OffRate, 4)},
                     {"offline_hits",
                      std::to_string(C.Warm.Label.OfflineHits)},
-                    {"l1_hit_rate", formatFixed(C.Warm.l1HitRate(), 4)},
                     {"identical", Identical ? "true" : "false"}});
       }
       Table.addSeparator();

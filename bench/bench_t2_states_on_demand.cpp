@@ -57,11 +57,10 @@ int main(int Argc, char **Argv) {
     }
 
     double Fraction = 100.0 * Fixed.numStates() / Tables.stats().NumStates;
-    std::uint64_t Probes = FS.CacheProbes + FS.DenseProbes;
     double HitRate =
-        Probes ? 100.0 * static_cast<double>(FS.CacheHits + FS.DenseHits) /
-                     static_cast<double>(Probes)
-               : 0.0;
+        FS.CacheProbes ? 100.0 * static_cast<double>(FS.CacheHits) /
+                             static_cast<double>(FS.CacheProbes)
+                       : 0.0;
     Table.addRow({Name, std::to_string(Tables.stats().NumStates),
                   std::to_string(Fixed.numStates()), formatFixed(Fraction, 1),
                   std::to_string(Fixed.numTransitions()),

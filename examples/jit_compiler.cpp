@@ -37,7 +37,7 @@ int main() {
   TablePrinter Table("JIT compilation with a persistent compile service "
                      "(target: vm64)");
   Table.setHeader({"method", "IR nodes", "asm instrs", "cost", "states total",
-                   "new states", "hit rate %", "l1 hit %"});
+                   "new states", "hit rate %"});
 
   // Lower the whole corpus up front (the "bytecode" arriving at the JIT);
   // the functions must outlive their in-flight compilations.
@@ -73,23 +73,17 @@ int main() {
         static_cast<const OnDemandBackend &>(Service->backend())
             .automaton()
             .numStates();
-    // Nodes resolved from any warm tier (the worker's private L1
-    // micro-cache, the shared dense rows, the hashed cache) over all
-    // nodes.
-    double HitRate = 100.0 *
-                     static_cast<double>(R.Stats.L1Hits + R.Stats.DenseHits +
-                                         R.Stats.CacheHits) /
-                     static_cast<double>(R.Stats.NodesLabeled);
-    double L1Rate = R.Stats.L1Probes
-                        ? 100.0 * static_cast<double>(R.Stats.L1Hits) /
-                              static_cast<double>(R.Stats.L1Probes)
-                        : 0.0;
+    // Transition-cache probes answered without computing a state.
+    double HitRate = R.Stats.CacheProbes
+                         ? 100.0 * static_cast<double>(R.Stats.CacheHits) /
+                               static_cast<double>(R.Stats.CacheProbes)
+                         : 0.0;
     Table.addRow({Names[Seq], std::to_string(Methods[Seq].size()),
                   std::to_string(R.Instructions),
                   std::to_string(R.Sel.TotalCost.value()),
                   std::to_string(States),
                   std::to_string(States - PrevStates),
-                  formatFixed(HitRate, 1), formatFixed(L1Rate, 1)});
+                  formatFixed(HitRate, 1)});
     PrevStates = States;
   };
   Service = cantFail(CompileService::create(T->G, &T->Dyn, std::move(Opts)));

@@ -21,7 +21,7 @@
 /// labels are all < K can therefore be resolved by pure offline table
 /// indexing (RepMaps are indexed by offline state id == on-demand state
 /// id, and the resulting table entry is already a valid on-demand id),
-/// skipping key construction and every warm-path tier. Anything else —
+/// skipping key construction and the cache probe. Anything else —
 /// dyn-cost operators, children labeled by dyn-cost subtrees — falls
 /// through to the normal on-demand probe, and the two resolutions agree
 /// exactly (delta normalization makes offline states bit-equal to

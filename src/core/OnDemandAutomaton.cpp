@@ -25,14 +25,6 @@ OnDemandAutomaton::OnDemandAutomaton(const Grammar &G, const DynCostTable *Dyn,
   assert(G.isFinalized() && "grammar must be finalized");
   assert((!G.hasDynCosts() || Dyn) &&
          "grammar has dynamic costs but no hook table was supplied");
-  // The dense tier rides on top of the hashed cache (it is populated from
-  // cache-resolved transitions), so the cache-ablated configuration has no
-  // tier either.
-  if (Opts.UseTransitionCache && Opts.DenseRows) {
-    DenseTransitionTier::Options DOpts;
-    DOpts.PromoteThreshold = Opts.DensePromoteThreshold;
-    Dense = std::make_unique<DenseTransitionTier>(G, DOpts);
-  }
   // Keep the safety bound reachable: leave one block of headroom below the
   // table's hard capacity so concurrent interners hit the MaxStates
   // diagnostic, never the table's capacity abort.
@@ -117,21 +109,17 @@ const State *OnDemandAutomaton::computeState(OperatorId Op,
   return S;
 }
 
-StateId OnDemandAutomaton::labelNode(ir::Node &N, L1TransitionCache *L1,
-                                     SelectionStats &Stats) {
-  ++Stats.NodesLabeled;
-  OperatorId Op = N.op();
-  unsigned NumChildren = N.numChildren();
-
+template <typename ChildLabel>
+ODBURG_ALWAYS_INLINE StateId
+OnDemandAutomaton::resolve(const ir::Node &N, OperatorId Op,
+                           unsigned NumChildren, ChildLabel &&Child,
+                           SelectionStats &Stats) {
   // Hybrid dispatch: a static-partition node over offline-known child
-  // states is one table index, no key, no tiers.
+  // states is one table index, no key, no probe.
   if (Partition) {
-    StateId Hit = offlineResolve(*Partition, Op, NumChildren, [&](unsigned P) {
-      return N.child(P)->label();
-    });
-    if (Hit != InvalidState) {
+    StateId Hit = offlineResolve(*Partition, Op, NumChildren, Child);
+    if (ODBURG_LIKELY(Hit != InvalidState)) {
       ++Stats.OfflineHits;
-      N.setLabel(Hit);
       return Hit;
     }
   }
@@ -143,7 +131,7 @@ StateId OnDemandAutomaton::labelNode(ir::Node &N, L1TransitionCache *L1,
   SmallVector<std::uint32_t, 20> Key;
   Key.push_back(TransitionCache::packHeader(Op, NumChildren, NumDyn));
   for (unsigned I = 0; I < NumChildren; ++I)
-    Key.push_back(N.child(I)->label());
+    Key.push_back(Child(I));
   SmallVector<Cost, 16> DynOutcomes;
   for (unsigned J = 0; J < NumDyn; ++J) {
     ++Stats.DynCostEvals;
@@ -151,85 +139,46 @@ StateId OnDemandAutomaton::labelNode(ir::Node &N, L1TransitionCache *L1,
     Key.push_back(DynOutcomes.back().raw());
   }
 
-  // Child State pointers are fetched only on the slow path: a warm probe
-  // resolves from the key's state *ids* alone, so the per-child
-  // StateTable shard chase would be pure waste on every hit.
-  SmallVector<const State *, 4> ChildStates;
-  auto FetchChildStates = [&] {
-    for (unsigned I = 0; I < NumChildren; ++I)
-      ChildStates.push_back(States.byId(Key[1 + I]));
-    return ChildStates.data();
-  };
-
+  // One lock-free seqlock probe of the shared hashed cache.
+  std::uint64_t H = 0;
   if (ODBURG_LIKELY(Opts.UseTransitionCache)) {
-    std::uint64_t H = TransitionCache::hashKey(Key.data(), Key.size());
-
-    // Tier 1: the worker's private L1 — no shared memory touched.
-    bool UseL1 = L1 && L1TransitionCache::cacheable(Key.size());
-    if (UseL1) {
-      ++Stats.L1Probes;
-      StateId Hit = L1->lookup(Key.data(), Key.size(), H);
-      if (ODBURG_LIKELY(Hit != InvalidState)) {
-        ++Stats.L1Hits;
-        N.setLabel(Hit);
-        return Hit;
-      }
-    }
-
-    // Tier 2: the dense row, offline-table style — shared read-only array
-    // indexing, no seqlock, no key comparison. Only operators without
-    // dynamic-cost rules are eligible (hook outcomes are part of the key
-    // and cannot be row-indexed). Key[1..] are exactly the child ids.
-    bool UseDense = Dense && NumChildren >= 1 && Dense->eligible(Op);
-    if (UseDense) {
-      ++Stats.DenseProbes;
-      StateId Hit = Dense->lookup(Op, NumChildren, Key.data() + 1);
-      if (ODBURG_LIKELY(Hit != InvalidState)) {
-        ++Stats.DenseHits;
-        if (UseL1)
-          L1->insert(Key.data(), Key.size(), H, Hit);
-        N.setLabel(Hit);
-        return Hit;
-      }
-    }
-
-    // Tier 3: one lock-free seqlock probe of the shared hashed cache.
     ++Stats.CacheProbes;
+    H = TransitionCache::hashKey(Key.data(), Key.size());
     StateId Hit = Cache.lookupHashed(Key.data(), Key.size(), H);
     if (ODBURG_LIKELY(Hit != InvalidState)) {
       ++Stats.CacheHits;
-      if (UseDense)
-        Dense->noteResolved(Op, NumChildren, Key.data() + 1, Hit,
-                            States.size());
-      if (UseL1)
-        L1->insert(Key.data(), Key.size(), H, Hit);
-      N.setLabel(Hit);
       return Hit;
     }
-
-    // Slow path: compute, hash-cons, memoize at every level.
-    const State *S =
-        computeState(Op, FetchChildStates(), DynOutcomes.data(), Stats);
-    Cache.insertHashed(Key.data(), Key.size(), H, S->Id);
-    if (UseDense)
-      Dense->noteResolved(Op, NumChildren, Key.data() + 1, S->Id,
-                          States.size());
-    if (UseL1)
-      L1->insert(Key.data(), Key.size(), H, S->Id);
-    N.setLabel(S->Id);
-    return S->Id;
   }
 
-  // Cache-ablated path: recompute the state at every node.
+  // Slow path (or the cache-ablated configuration): compute, hash-cons,
+  // memoize. Child State pointers are fetched only here — a warm probe
+  // resolves from the key's state ids alone.
+  SmallVector<const State *, 4> ChildStates;
+  for (unsigned I = 0; I < NumChildren; ++I)
+    ChildStates.push_back(States.byId(Key[1 + I]));
   const State *S =
-      computeState(Op, FetchChildStates(), DynOutcomes.data(), Stats);
-  N.setLabel(S->Id);
+      computeState(Op, ChildStates.data(), DynOutcomes.data(), Stats);
+  if (Opts.UseTransitionCache)
+    Cache.insertHashed(Key.data(), Key.size(), H, S->Id);
   return S->Id;
+}
+
+StateId OnDemandAutomaton::labelNode(ir::Node &N, SelectionStats &Stats) {
+  ++Stats.NodesLabeled;
+  StateId Id = resolve(N, N.op(), N.numChildren(),
+                       [&](unsigned I) { return N.child(I)->label(); },
+                       Stats);
+  N.setLabel(Id);
+  return Id;
 }
 
 void OnDemandAutomaton::labelFunction(ir::IRFunction &F,
                                       SelectionStats *Stats) {
-  labelFunction(F, nullptr, Stats);
+  SelectionStats Local;
+  SelectionStats &S = Stats ? *Stats : Local;
+  for (ir::Node *N : F.nodes())
+    labelNode(*N, S);
 }
 
 void LabelBatch::build(const ir::IRFunction &F) {
@@ -269,159 +218,22 @@ void LabelBatch::build(const ir::IRFunction &F) {
   Labels = Lb;
 }
 
-void OnDemandAutomaton::labelNodes(LabelBatch &B, L1TransitionCache *L1,
-                                   bool UseDenseTier, SelectionStats &Stats) {
-  const unsigned N = B.N;
-  Stats.NodesLabeled += N;
-  DenseTransitionTier *DT = UseDenseTier ? Dense.get() : nullptr;
-  const bool Cached = Opts.UseTransitionCache;
-  const OfflinePartitionView *PV = Partition;
-
-  SmallVector<std::uint32_t, 20> Key;
-  SmallVector<Cost, 16> DynOutcomes;
-  SmallVector<const State *, 4> ChildStates;
-
-  for (unsigned I = 0; I < N; ++I) {
-    OperatorId Op = B.Ops[I];
-    unsigned NumChildren = B.NumCh[I];
-    const std::uint32_t *Ch = B.ChildIds + B.FirstChild[I];
-
-    // Tier 0 (hybrid only): the offline-partition tables. A static-
-    // partition node over offline-known child states resolves by one
-    // direct table index — no key construction, no hashing, no tier
-    // probes; the burg-style per-node cost on the grammar's static
-    // majority.
-    StateId Result = InvalidState;
-    if (PV) {
-      Result = offlineResolve(*PV, Op, NumChildren,
-                              [&](unsigned P) { return B.Labels[Ch[P]]; });
-      if (ODBURG_LIKELY(Result != InvalidState))
-        ++Stats.OfflineHits;
-    }
-
-    if (Result != InvalidState) {
-      // Fall through to the store + prefetch tail below.
-    } else if (ODBURG_LIKELY(Cached)) {
-      const auto &DynRules = G.dynRulesFor(Op);
-      unsigned NumDyn = DynRules.size();
-
-      Key.clear();
-      Key.push_back(TransitionCache::packHeader(Op, NumChildren, NumDyn));
-      // Child states are contiguous indexed loads — the SoA win: no node
-      // pointer is touched on the warm path.
-      for (unsigned C = 0; C < NumChildren; ++C)
-        Key.push_back(B.Labels[Ch[C]]);
-      DynOutcomes.clear();
-      for (unsigned J = 0; J < NumDyn; ++J) {
-        ++Stats.DynCostEvals;
-        DynOutcomes.push_back(
-            Dyn->evaluate(G.normRule(DynRules[J]).DynHook, *B.Nodes[I]));
-        Key.push_back(DynOutcomes.back().raw());
-      }
-
-      std::uint64_t H = TransitionCache::hashKey(Key.data(), Key.size());
-      bool UseL1 = L1 && L1TransitionCache::cacheable(Key.size());
-      bool UseDense = DT && NumChildren >= 1 && DT->eligible(Op);
-      Result = InvalidState;
-
-      if (UseL1) {
-        ++Stats.L1Probes;
-        Result = L1->lookup(Key.data(), Key.size(), H);
-        if (ODBURG_LIKELY(Result != InvalidState))
-          ++Stats.L1Hits;
-      }
-      if (Result == InvalidState && UseDense) {
-        ++Stats.DenseProbes;
-        Result = DT->lookup(Op, NumChildren, Key.data() + 1);
-        if (ODBURG_LIKELY(Result != InvalidState)) {
-          ++Stats.DenseHits;
-          if (UseL1)
-            L1->insert(Key.data(), Key.size(), H, Result);
-        }
-      }
-      if (Result == InvalidState) {
-        ++Stats.CacheProbes;
-        Result = Cache.lookupHashed(Key.data(), Key.size(), H);
-        if (ODBURG_LIKELY(Result != InvalidState)) {
-          ++Stats.CacheHits;
-        } else {
-          ChildStates.clear();
-          for (unsigned C = 0; C < NumChildren; ++C)
-            ChildStates.push_back(States.byId(Key[1 + C]));
-          const State *S = computeState(Op, ChildStates.data(),
-                                        DynOutcomes.data(), Stats);
-          Cache.insertHashed(Key.data(), Key.size(), H, S->Id);
-          Result = S->Id;
-        }
-        if (UseDense)
-          DT->noteResolved(Op, NumChildren, Key.data() + 1, Result,
-                           States.size());
-        if (UseL1)
-          L1->insert(Key.data(), Key.size(), H, Result);
-      }
-    } else {
-      // Cache-ablated path: recompute the state at every node.
-      const auto &DynRules = G.dynRulesFor(Op);
-      DynOutcomes.clear();
-      for (RuleId DR : DynRules) {
-        ++Stats.DynCostEvals;
-        DynOutcomes.push_back(
-            Dyn->evaluate(G.normRule(DR).DynHook, *B.Nodes[I]));
-      }
-      ChildStates.clear();
-      for (unsigned C = 0; C < NumChildren; ++C)
-        ChildStates.push_back(States.byId(B.Labels[Ch[C]]));
-      const State *S =
-          computeState(Op, ChildStates.data(), DynOutcomes.data(), Stats);
-      Result = S->Id;
-    }
-
-    B.Labels[I] = Result;
-    B.Nodes[I]->setLabel(Result);
-
-    // Prefetch node I+1's dense-row entry while this iteration's stores
-    // drain. Topological order makes this exact, not a guess: every
-    // child of node I+1 has id <= I, so its child state ids are already
-    // final in B.Labels and the entry address the next probe will chase
-    // is computable right now.
-    if (DT && I + 1 < N) {
-      unsigned NI = I + 1;
-      OperatorId NOp = B.Ops[NI];
-      unsigned NNC = B.NumCh[NI];
-      if (NNC >= 1 && NNC <= 2 && DT->eligible(NOp)) {
-        const std::uint32_t *NCh = B.ChildIds + B.FirstChild[NI];
-        std::uint32_t NextIds[2] = {B.Labels[NCh[0]],
-                                    NNC == 2 ? B.Labels[NCh[1]] : 0};
-        DT->prefetch(NOp, NNC, NextIds);
-      }
-    }
-  }
-}
-
 void OnDemandAutomaton::labelFunctionBatched(ir::IRFunction &F,
-                                             L1TransitionCache *L1,
-                                             LabelBatch &Batch, bool UseDense,
+                                             LabelBatch &B,
                                              SelectionStats *Stats) {
-  if (L1)
-    L1->bindTo(Generation);
-  Batch.build(F);
-  SelectionStats Local;
-  labelNodes(Batch, L1, UseDense, Stats ? *Stats : Local);
-}
-
-std::uint64_t OnDemandAutomaton::nextGeneration() {
-  static std::atomic<std::uint64_t> Counter{1};
-  return Counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-void OnDemandAutomaton::labelFunction(ir::IRFunction &F, L1TransitionCache *L1,
-                                      SelectionStats *Stats) {
-  if (L1)
-    L1->bindTo(Generation);
+  B.build(F);
   SelectionStats Local;
   SelectionStats &S = Stats ? *Stats : Local;
-  for (ir::Node *N : F.nodes())
-    labelNode(*N, L1, S);
+  S.NodesLabeled += B.N;
+  for (unsigned I = 0; I < B.N; ++I) {
+    // Child states are contiguous indexed loads — the SoA win: no node
+    // pointer is chased on the warm path.
+    const std::uint32_t *Ch = B.ChildIds + B.FirstChild[I];
+    StateId Id = resolve(*B.Nodes[I], B.Ops[I], B.NumCh[I],
+                         [&](unsigned P) { return B.Labels[Ch[P]]; }, S);
+    B.Labels[I] = Id;
+    B.Nodes[I]->setLabel(Id);
+  }
 }
 
 void OnDemandAutomaton::labelFunctions(std::span<ir::IRFunction *const> Fns,

@@ -10,11 +10,8 @@
 ///
 ///   - Fast path: per node, evaluate the operator's dynamic-cost hooks,
 ///     pack (operator, child states, outcomes) into a key, and resolve it
-///     through a three-tier probe — the worker's private L1 micro-cache,
-///     then the adaptive dense-row tier (hot rows promoted to offline-
-///     style directly-indexed arrays; see core/DenseTransitionTier.h),
-///     then the hashed seqlock transition cache — instead of a walk over
-///     all applicable rules.
+///     with one lock-free seqlock probe of the hashed transition cache —
+///     instead of a walk over all applicable rules.
 ///   - Slow path (cache miss): compute the state by dynamic programming
 ///     over the child states (StateComputer), hash-cons it in the state
 ///     table, memoize the transition, and continue.
@@ -31,8 +28,6 @@
 #ifndef ODBURG_CORE_ONDEMANDAUTOMATON_H
 #define ODBURG_CORE_ONDEMANDAUTOMATON_H
 
-#include "core/DenseTransitionTier.h"
-#include "core/L1Cache.h"
 #include "core/OfflinePartition.h"
 #include "core/State.h"
 #include "core/StateComputer.h"
@@ -44,7 +39,6 @@
 #include "support/Arena.h"
 #include "support/Statistic.h"
 
-#include <memory>
 #include <span>
 #include <utility>
 
@@ -107,14 +101,6 @@ public:
     /// the state at every node — it isolates how much of the speedup is
     /// the cache versus state hash-consing.
     bool UseTransitionCache = true;
-    /// Adaptive dense-row tier: promote hot (operator, child state)
-    /// transition rows out of the hashed cache into dense directly-indexed
-    /// arrays (see core/DenseTransitionTier.h). Only meaningful with the
-    /// transition cache on; operators with dynamic-cost rules always
-    /// bypass the tier.
-    bool DenseRows = true;
-    /// Resolutions before a row is promoted to a dense array.
-    unsigned DensePromoteThreshold = 64;
     /// Safety bound on automaton growth for degenerate grammars whose
     /// relative costs do not converge. Clamped below the state table's
     /// hard capacity (StateTable::maxCapacity()) so the bound always
@@ -138,15 +124,6 @@ public:
   /// are sharded and thread-safe, and node labels are per-function.
   void labelFunction(ir::IRFunction &F, SelectionStats *Stats = nullptr);
 
-  /// As above, fronting the transition cache with the caller's private L1
-  /// micro-cache (one per worker thread; see core/L1Cache.h). The L1 is
-  /// rebound to this automaton on entry, which invalidates it if it last
-  /// served a different one. \p L1 may be null (plain labeling). Results
-  /// are identical with or without an L1 — only the cache work counters
-  /// move between the levels.
-  void labelFunction(ir::IRFunction &F, L1TransitionCache *L1,
-                     SelectionStats *Stats);
-
   /// Labels a corpus of functions concurrently against this one shared
   /// automaton with \p Threads worker threads (0 = hardware concurrency).
   /// Functions are handed out through an atomic index, so uneven function
@@ -159,34 +136,14 @@ public:
 
   /// Labels one node (children must be labeled). Returns the state id and
   /// stores it in the node's label slot.
-  StateId labelNode(ir::Node &N, SelectionStats &Stats) {
-    return labelNode(N, nullptr, Stats);
-  }
-
-  /// As above with an optional worker-private L1 micro-cache. The caller
-  /// is responsible for having bound \p L1 to this automaton (the
-  /// labelFunction overload does); an L1 bound elsewhere would satisfy
-  /// probes with another automaton's state ids.
-  StateId labelNode(ir::Node &N, L1TransitionCache *L1, SelectionStats &Stats);
+  StateId labelNode(ir::Node &N, SelectionStats &Stats);
 
   /// Batched labeling: rebuilds \p Batch from \p F and labels every node
-  /// through the SoA fast path — contiguous child-state reads, lazy
-  /// child State* fetch (slow path only), and a software prefetch of the
-  /// *next* node's dense-row entry at the bottom of each iteration
-  /// (topological order guarantees the next node's child labels are
-  /// already final, so the exact entry address is computable one
-  /// iteration early). \p UseDense gates the dense tier per call — the
-  /// TierController's bypass lever; \p L1 may be null. Labels, rules,
-  /// costs, and work counters per tier are identical to the node-at-a-
-  /// time path.
-  void labelFunctionBatched(ir::IRFunction &F, L1TransitionCache *L1,
-                            LabelBatch &Batch, bool UseDense,
+  /// through the SoA path — contiguous child-state reads, with child
+  /// State* fetched only on the slow path. Labels, rules, costs, and work
+  /// counters are identical to the node-at-a-time path.
+  void labelFunctionBatched(ir::IRFunction &F, LabelBatch &Batch,
                             SelectionStats *Stats);
-
-  /// Labels \p Batch (already built). Exposed for the batched path's
-  /// tests; labelFunctionBatched is the normal entry.
-  void labelNodes(LabelBatch &Batch, L1TransitionCache *L1, bool UseDense,
-                  SelectionStats &Stats);
 
   /// Bridges externally enumerated states into this automaton: interns
   /// every state of \p Src in id order into the automaton's own table.
@@ -231,31 +188,13 @@ public:
   /// Attaches an offline-partition view: nodes whose operator is in the
   /// partition and whose child labels are all < PV->NumStates resolve by
   /// direct table indexing (counted as SelectionStats::OfflineHits),
-  /// bypassing key construction and every warm-path tier. Requires
+  /// bypassing key construction and the cache probe. Requires
   /// seedStatesFrom() to have interned exactly the view's states first.
   /// \p PV is non-owning and must outlive the automaton; null detaches.
   void attachOfflinePartition(const OfflinePartitionView *PV) {
     Partition = PV;
   }
   const OfflinePartitionView *offlinePartition() const { return Partition; }
-
-  /// Retunes the dense tier's promotion threshold at runtime (no-op when
-  /// the tier is off). Safe while labeling runs — see
-  /// DenseTransitionTier::setPromoteThreshold.
-  void setDensePromoteThreshold(unsigned T) {
-    if (Dense)
-      Dense->setPromoteThreshold(T);
-  }
-
-  /// Applies or releases the memory governor's dense-tier clamp: under
-  /// pressure the tier's byte budget drops to zero — promotions and
-  /// regrowth stop immediately while already-promoted rows keep serving —
-  /// and on release the configured budget is restored. No-op when the
-  /// tier is off.
-  void setDenseMemoryClamp(bool On) {
-    if (Dense)
-      Dense->setMaxBytes(On ? 0 : Dense->configuredMaxBytes());
-  }
 
   /// \name Labeling interface
   /// @{
@@ -271,37 +210,31 @@ public:
   /// @{
   unsigned numStates() const { return States.size(); }
   std::size_t numTransitions() const { return Cache.size(); }
-  /// Process-unique id of this automaton instance; the L1 micro-caches'
-  /// owner token. Never recycled (unlike `this`, whose address a later
-  /// allocation can reuse), so a scratch outliving the automaton can
-  /// never satisfy probes with a dead automaton's state ids.
-  std::uint64_t generation() const { return Generation; }
   std::size_t memoryBytes() const {
-    return States.memoryBytes() + Cache.memoryBytes() +
-           (Dense ? Dense->memoryBytes() : 0);
+    return States.memoryBytes() + Cache.memoryBytes();
   }
   const StateTable &stateTable() const { return States; }
-  /// The dense-row tier, or null when Options::DenseRows is off (or the
-  /// transition cache is ablated away).
-  const DenseTransitionTier *denseTier() const { return Dense.get(); }
   /// @}
 
 private:
   const State *computeState(OperatorId Op, const State *const *ChildStates,
                             const Cost *DynOutcomes, SelectionStats &Stats);
 
-  static std::uint64_t nextGeneration();
+  /// The per-node step both labeling loops share: offline-partition
+  /// index (hybrid only), then key build, one cache probe, and
+  /// StateComputer on a miss. \p Child(I) yields child I's state id.
+  template <typename ChildLabel>
+  StateId resolve(const ir::Node &N, OperatorId Op, unsigned NumChildren,
+                  ChildLabel &&Child, SelectionStats &Stats);
 
   const Grammar &G;
   const DynCostTable *Dyn;
   StateComputer Computer;
   StateTable States;
   TransitionCache Cache;
-  std::unique_ptr<DenseTransitionTier> Dense;
   /// The hybrid backend's offline-partition bridge; null otherwise.
   const OfflinePartitionView *Partition = nullptr;
   Options Opts;
-  std::uint64_t Generation = nextGeneration();
 };
 
 } // namespace odburg

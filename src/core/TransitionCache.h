@@ -84,9 +84,9 @@ public:
     return lookupHashed(Key, Words, hashKey(Key, Words));
   }
 
-  /// As lookup(), with the key's hashKey() value precomputed — callers
-  /// that front this cache with an L1TransitionCache hash once and probe
-  /// both levels with it.
+  /// As lookup(), with the key's hashKey() value precomputed — the
+  /// automaton hashes a key once and reuses the hash for the insert that
+  /// follows a miss.
   StateId lookupHashed(const std::uint32_t *Key, unsigned Words,
                        std::uint64_t H) const {
     const Shard &Sh = Shards[H & (NumShards - 1)];

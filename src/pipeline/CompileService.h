@@ -12,7 +12,7 @@
 ///
 ///   - construct once per grammar: the service owns the labeling backend
 ///     (any BackendKind) and a pool of worker threads with persistent
-///     per-worker scratch (reduction scratch, DP tables, L1 micro-cache);
+///     per-worker scratch (reduction scratch, DP tables, SoA node mirror);
 ///   - submit(F) hands one function to the pool and returns a
 ///     std::future<CompileResult>; submitBatch() submits a span in order;
 ///   - results are *delivered* strictly in submission order: the optional
@@ -87,7 +87,7 @@ struct CompileResult {
 
 /// Per-worker reusable compile state, cache-line separated across a pool.
 /// Owned by exactly one worker at a time; persistent for the owner's
-/// lifetime so the labeler scratch (DP tables, L1 micro-cache) and the
+/// lifetime so the labeler scratch (DP tables, SoA node mirror) and the
 /// reduction scratch stay warm across functions and batches.
 struct alignas(64) WorkerState {
   LabelerScratch Labeler;
@@ -127,24 +127,12 @@ struct ServiceStats {
   double P90Us = 0.0;
   double P99Us = 0.0;
   /// Lifetime labeling work counters, summed over every delivered result
-  /// — the per-tier probe/hit evidence behind the rates below (and the
-  /// same counters a TierController consumes).
+  /// — the probe/hit evidence behind the rates below.
   SelectionStats Label;
 
-  /// \name Per-tier hit rates, in [0, 1].
-  /// All zero-guarded: a tier that took no probes (disabled, adaptive-
-  /// bypassed, or absent from the backend) reads as 0, never NaN.
+  /// \name Hit rates, in [0, 1].
+  /// Zero-guarded: a backend that took no probes reads as 0, never NaN.
   /// @{
-  double l1HitRate() const {
-    return Label.L1Probes ? static_cast<double>(Label.L1Hits) /
-                                static_cast<double>(Label.L1Probes)
-                          : 0.0;
-  }
-  double denseHitRate() const {
-    return Label.DenseProbes ? static_cast<double>(Label.DenseHits) /
-                                   static_cast<double>(Label.DenseProbes)
-                             : 0.0;
-  }
   double cacheHitRate() const {
     return Label.CacheProbes ? static_cast<double>(Label.CacheHits) /
                                    static_cast<double>(Label.CacheProbes)

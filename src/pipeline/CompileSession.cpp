@@ -109,7 +109,6 @@ CompileSession::compileFunctions(std::span<ir::IRFunction *const> Fns,
     }
     Stats->WallNs += Wall.elapsedNs();
     Stats->BackendBytes = B->memoryBytes();
-    Stats->Tier = B->tierDecisions();
   }
   return Results;
 }

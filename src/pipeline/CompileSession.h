@@ -17,7 +17,7 @@
 ///   - results are indexed by corpus position, and the concatenated
 ///     assembly and total cost are byte-identical for any thread count;
 ///   - the backend stays warm across batches (the automaton's tables, the
-///     per-worker L1 micro-caches, the DP label tables);
+///     per-worker labeling scratch, the DP label tables);
 ///   - per-function failures are captured per CompileResult and never
 ///     poison the rest of the batch.
 ///
@@ -66,34 +66,11 @@ struct SessionStats {
   /// Summed cost of the successful functions' selected covers.
   Cost TotalCost = Cost::zero();
   /// Shared-state footprint of the backend at batch end (the automaton's
-  /// state table, hashed transition cache AND dense rows — including
-  /// retired arrays kept alive for lock-free readers — or the offline
-  /// tables). Snapshot, not a sum, so memory benches stay honest.
+  /// state table and hashed transition cache, or the offline tables).
+  /// Snapshot, not a sum, so memory benches stay honest.
   std::size_t BackendBytes = 0;
-  /// Warm-path tier configuration in effect at batch end — the
-  /// TierController's current decisions when the backend is adaptive,
-  /// the static configuration otherwise (Tier.Adaptive distinguishes).
-  TierDecisions Tier;
 
   void reset() { *this = SessionStats(); }
-
-  /// Hit rate of the per-worker L1 transition micro-caches over the batch,
-  /// in [0, 1]; 0 when no L1 probes happened (non-on-demand backend, L1
-  /// disabled, or oversized keys).
-  double l1HitRate() const {
-    return Label.L1Probes ? static_cast<double>(Label.L1Hits) /
-                                static_cast<double>(Label.L1Probes)
-                          : 0.0;
-  }
-
-  /// Hit rate of the dense-row tier over the batch, in [0, 1]; 0 when no
-  /// dense probes happened (tier disabled, non-on-demand backend, or no
-  /// eligible operators).
-  double denseHitRate() const {
-    return Label.DenseProbes ? static_cast<double>(Label.DenseHits) /
-                                   static_cast<double>(Label.DenseProbes)
-                             : 0.0;
-  }
 
   /// Share of labeled nodes the hybrid backend resolved by direct
   /// offline-partition table indexing, in [0, 1]; 0 for every other
@@ -118,8 +95,8 @@ public:
   struct Options {
     /// Which labeling engine the session runs on.
     BackendKind Backend = BackendKind::OnDemand;
-    /// The chosen backend's tunables (automaton options, L1 micro-cache,
-    /// offline generation bounds/threads), passed through verbatim to
+    /// The chosen backend's tunables (automaton options, offline
+    /// generation bounds/threads), passed through verbatim to
     /// LabelerBackend::create — one source of truth, no per-field copies
     /// to drift out of sync.
     LabelerBackend::Options BackendOpts;

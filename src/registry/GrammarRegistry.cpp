@@ -195,8 +195,6 @@ Expected<LabelerBackend *> GrammarEntry::backend(BackendKind K) {
       Owner.SnapshotMisses.fetch_add(1, std::memory_order_relaxed);
   }
 
-  if (Owner.Pressure.load(std::memory_order_relaxed))
-    Built->setMemoryPressure(true);
   Slot = std::move(Built);
   return Slot.get();
 }
@@ -361,19 +359,9 @@ void GrammarRegistry::maintain() {
   if (Budget != 0) {
     bool On = Pressure.load(std::memory_order_relaxed);
     if (!On && Total > Budget)
-      applyPressure(true);
+      Pressure.store(true, std::memory_order_relaxed);
     else if (On && Total * 10 < Budget * 9)
-      applyPressure(false);
-  }
-}
-
-void GrammarRegistry::applyPressure(bool On) {
-  Pressure.store(On, std::memory_order_relaxed);
-  for (auto &[N, E] : Entries) {
-    std::lock_guard<std::mutex> Lock(E->M);
-    for (std::unique_ptr<LabelerBackend> &B : E->Backends)
-      if (B)
-        B->setMemoryPressure(On);
+      Pressure.store(false, std::memory_order_relaxed);
   }
 }
 

@@ -31,8 +31,8 @@
 ///     the budget and drops the backend state of least-recently-used
 ///     unpinned entries (counted in stats; the entry itself stays and
 ///     cold-starts on re-access). When everything over budget is pinned,
-///     it falls back to LabelerBackend::setMemoryPressure — degrade, not
-///     drop. The fault::Site::RegistryEvict chaos site forces an eviction
+///     it raises the memory-pressure flag (RegistryStats::MemoryPressure)
+///     instead — report, not drop. The fault::Site::RegistryEvict chaos site forces an eviction
 ///     pass regardless of budget.
 ///   - *Hot swap.* Installing a new version under an existing name bumps
 ///     the entry epoch: new acquires see the new entry immediately, while
@@ -43,7 +43,7 @@
 ///     snapshot at creation (a failed or fault-injected load degrades to
 ///     a cold start, counted as a snapshot miss); dumpWarmSnapshots()
 ///     writes them back, so a drained-and-restarted server serves its
-///     first batch out of the warm tiers.
+///     first batch out of the warm transition cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -238,7 +238,7 @@ public:
 
   /// The eviction pass; also run by acquire(). Over budget it drops the
   /// backends of LRU unpinned entries until under; if pinned entries
-  /// alone exceed the budget it turns memory pressure on instead
+  /// alone exceed the budget it raises the memory-pressure flag instead
   /// (released below 90% of budget). fault::Site::RegistryEvict forces
   /// the drop of every unpinned entry's backends.
   void maintain();
@@ -262,7 +262,6 @@ private:
   Expected<std::shared_ptr<GrammarEntry>> buildFromSource(std::string_view Name,
                                                           std::uint64_t Epoch);
   std::uint64_t tick() { return Clock.fetch_add(1, std::memory_order_relaxed); }
-  void applyPressure(bool On);
 
   Options Opts;
   mutable std::mutex M;

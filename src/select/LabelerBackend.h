@@ -16,7 +16,7 @@
 ///     the DP labeler) and is safe to label against from many threads;
 ///   - *per-worker state* lives in a LabelerScratch the caller owns, one
 ///     per worker thread: the DP backend's reusable label table, the
-///     on-demand backend's private L1 transition micro-cache;
+///     on-demand backend's SoA node mirror;
 ///   - labelFunction(F, Scratch) labels one function and returns the
 ///     Labeling view the reducer consumes. The view is valid until the
 ///     same scratch labels the next function, which is exactly the
@@ -33,9 +33,7 @@
 #ifndef ODBURG_SELECT_LABELERBACKEND_H
 #define ODBURG_SELECT_LABELERBACKEND_H
 
-#include "core/L1Cache.h"
 #include "core/OnDemandAutomaton.h"
-#include "core/TierController.h"
 #include "offline/OfflineTables.h"
 #include "select/DPLabeler.h"
 #include "select/Partition.h"
@@ -84,13 +82,12 @@ Expected<BackendKind> parseBackendKind(std::string_view Name);
 
 /// Per-worker labeling scratch. Callers (one per worker thread) default-
 /// construct it and pass the same object to every labelFunction call; the
-/// backends own its contents. Reusable across functions, batches, and —
-/// because the L1 micro-cache is epoch-invalidated on rebind — across
-/// backends and sessions. The compile service keeps one per pool slot
-/// for its whole lifetime (grow-only, surviving pool resizes), so the
-/// DP label table's capacity and the L1 micro-cache's contents stay
-/// warm for as long as the service runs — the scratch's lifetime is the
-/// service's, not the batch's.
+/// backends own its contents. Reusable across functions, batches,
+/// backends and sessions: it holds buffers only, never state ids, so
+/// nothing in it can go stale when it moves to another grammar. The
+/// compile service keeps one per pool slot for its whole lifetime
+/// (grow-only, surviving pool resizes), so the buffers' capacity stays
+/// warm for as long as the service runs.
 class LabelerScratch {
 public:
   LabelerScratch() = default;
@@ -103,9 +100,6 @@ private:
 
   /// DP backend: the reused per-function label table.
   DPLabeling DP;
-  /// On-demand backend: the worker's private transition micro-cache,
-  /// created lazily on first use.
-  std::unique_ptr<L1TransitionCache> L1;
   /// On-demand backend: the worker's arena-backed SoA node mirror for the
   /// batched labeling path (see core/OnDemandAutomaton.h, LabelBatch).
   LabelBatch Batch;
@@ -120,26 +114,6 @@ public:
   struct Options {
     /// On-demand: the automaton's own tunables.
     OnDemandAutomaton::Options Automaton;
-    /// On-demand: front the shared transition cache with a per-worker
-    /// direct-mapped L1 micro-cache (see core/L1Cache.h).
-    bool UseL1Cache = true;
-    /// On-demand: log2 of the L1 entry count.
-    unsigned L1Log2Entries = 10;
-    /// On-demand: L1 associativity. 0 = auto: direct-mapped for
-    /// static-cost grammars (shortest probe wins when keys spread well),
-    /// 2-way for dyn-cost grammars (outcome words pad keys into fewer
-    /// distinct index bits; the extra way recovers those conflict misses
-    /// — the winner per grammar class in bench_p4_dense part (c)).
-    /// Explicit 1 or 2 overrides.
-    unsigned L1Ways = 0;
-    /// On-demand: attach a TierController that retunes the warm-path
-    /// tier stack at runtime from its measured hit rates (see
-    /// core/TierController.h). Off by default — static configuration.
-    bool Adaptive = false;
-    /// On-demand: the controller's knobs (window size, recovery cadence,
-    /// pinned probe costs for deterministic tests). L1Exists/DenseExists
-    /// are derived from the static options, not read from here.
-    TierController::Options AdaptiveOpts;
     /// Offline: state bound for exhaustive generation.
     unsigned OfflineMaxStates = 1u << 18;
     /// Offline: worker threads for table generation (0 = hardware
@@ -167,24 +141,6 @@ public:
 
   /// Approximate shared-state footprint in bytes.
   virtual std::size_t memoryBytes() const = 0;
-
-  /// The warm-path tier configuration in effect, adaptive or static.
-  /// Engines without a tier stack (dp, offline) report an all-off
-  /// default with Adaptive=false.
-  virtual TierDecisions tierDecisions() const {
-    TierDecisions D;
-    D.Config = TierConfig{false, 1, false};
-    D.PromoteThreshold = 0;
-    return D;
-  }
-
-  /// The memory governor's lever: under pressure the backend sheds
-  /// whatever shared state it can regrow later (the on-demand dense tier)
-  /// and stops growing more; releasing pressure restores normal policy.
-  /// Engines with nothing sheddable (dp, offline) ignore it. Safe from
-  /// any thread, idempotent, and — like every tier decision — output-
-  /// neutral: labeling stays byte-identical under any pressure history.
-  virtual void setMemoryPressure(bool) {}
 
   /// Builds the backend for \p G. \p Dyn may be null for grammars without
   /// dynamic costs; it must outlive the backend, as must \p G. Fails with
@@ -249,117 +205,34 @@ private:
 };
 
 /// The on-demand automaton behind the backend interface. One shared
-/// automaton serves all workers; each worker's scratch fronts the shared
-/// transition cache with a private L1 micro-cache and labels through the
-/// SoA batched path. With Options::Adaptive, a TierController snapshots
-/// per-function tier configurations and retunes them from measured hit
-/// rates — any configuration it picks labels byte-identically, so
-/// reconfiguration is free of synchronization with in-flight work.
-/// HybridBackend derives from this: same labeling loop and controller,
-/// with the automaton's offline-partition dispatch armed.
+/// automaton serves all workers; each worker labels through the SoA
+/// batched path with its own scratch. HybridBackend derives from this:
+/// same labeling loop, with the automaton's offline-partition dispatch
+/// armed.
 class OnDemandBackend : public LabelerBackend {
 public:
   OnDemandBackend(const Grammar &G, const DynCostTable *Dyn,
                   const Options &Opts)
-      : A(G, Dyn, Opts.Automaton), UseL1(Opts.UseL1Cache),
-        L1Log2Entries(Opts.L1Log2Entries),
-        L1Ways(Opts.L1Ways ? Opts.L1Ways : (G.hasDynCosts() ? 2 : 1)) {
-    if (Opts.Adaptive) {
-      bool HasDense = Opts.Automaton.UseTransitionCache &&
-                      Opts.Automaton.DenseRows;
-      TierConfig Initial;
-      Initial.L1On = UseL1;
-      Initial.L1Ways = L1Ways < 2 ? 1 : 2;
-      Initial.DenseOn = HasDense;
-      TierController::Options COpts = Opts.AdaptiveOpts;
-      COpts.L1Exists = UseL1;
-      COpts.DenseExists = HasDense;
-      Controller = std::make_unique<TierController>(
-          Initial, Opts.Automaton.DensePromoteThreshold, COpts);
-    }
-  }
+      : A(G, Dyn, Opts.Automaton) {}
 
   BackendKind kind() const override { return BackendKind::OnDemand; }
   const Labeling &labelFunction(ir::IRFunction &F, LabelerScratch &Scratch,
                                 SelectionStats *Stats) override {
-    // Snapshot the tier configuration once per function: plain data, so
-    // the controller can republish mid-function without racing us.
-    bool L1On = UseL1;
-    unsigned Ways = L1Ways < 2 ? 1u : 2u;
-    bool UseDense = true;
-    if (Controller) {
-      TierConfig C = Controller->config();
-      L1On = C.L1On;
-      Ways = C.L1Ways;
-      UseDense = C.DenseOn;
-      A.setDensePromoteThreshold(Controller->promoteThreshold());
-    }
-    if (MemPressure.load(std::memory_order_relaxed))
-      UseDense = false; // Governor override; non-adaptive sessions too.
-    L1TransitionCache *L1 = nullptr;
-    if (L1On) {
-      if (!Scratch.L1 || Scratch.L1->ways() != Ways)
-        Scratch.L1 =
-            std::make_unique<L1TransitionCache>(L1Log2Entries, Ways);
-      L1 = Scratch.L1.get();
-    }
-    if (Controller) {
-      // Always collect counters when adaptive — they are the control
-      // signal, not just reporting.
-      SelectionStats Local;
-      A.labelFunctionBatched(F, L1, Scratch.Batch, UseDense, &Local);
-      Controller->observe(Local);
-      if (Stats)
-        *Stats += Local;
-    } else {
-      A.labelFunctionBatched(F, L1, Scratch.Batch, UseDense, Stats);
-    }
+    A.labelFunctionBatched(F, Scratch.Batch, Stats);
     return A;
   }
   bool supportsDynCosts() const override { return true; }
   unsigned numStates() const override { return A.numStates(); }
   std::size_t memoryBytes() const override { return A.memoryBytes(); }
-  TierDecisions tierDecisions() const override {
-    if (Controller)
-      return Controller->decisions();
-    TierDecisions D;
-    D.Adaptive = false;
-    D.Config.L1On = UseL1;
-    D.Config.L1Ways = L1Ways < 2 ? 1 : 2;
-    bool Pressure = MemPressure.load(std::memory_order_relaxed);
-    D.Config.DenseOn = A.denseTier() != nullptr && !Pressure;
-    D.PromoteThreshold =
-        A.denseTier() ? A.denseTier()->promoteThreshold() : 0;
-    D.Degraded = Pressure;
-    return D;
-  }
-
-  void setMemoryPressure(bool On) override {
-    if (MemPressure.exchange(On, std::memory_order_relaxed) == On)
-      return; // Idempotent: the governor polls, transitions are rare.
-    if (Controller)
-      Controller->setMemoryPressure(On);
-    A.setDenseMemoryClamp(On);
-  }
 
   const OnDemandAutomaton &automaton() const { return A; }
   /// Mutable access for the warm-snapshot bridge (registry/WarmSnapshot.h):
   /// state/transition import before the first labeling call, quiescent
   /// transition dumps after.
   OnDemandAutomaton &automaton() { return A; }
-  /// The attached controller, or null when not adaptive.
-  const TierController *tierController() const { return Controller.get(); }
 
 protected:
   OnDemandAutomaton A;
-
-private:
-  bool UseL1;
-  unsigned L1Log2Entries;
-  unsigned L1Ways;
-  std::unique_ptr<TierController> Controller;
-  /// The memory governor's current hold (see setMemoryPressure).
-  std::atomic<bool> MemPressure{false};
 };
 
 /// The hybrid backend: the synthesis of the paper's two poles. The
@@ -373,7 +246,7 @@ private:
 /// automaton's hot loop resolves every static-partition node over
 /// offline-known children by one direct table index
 /// (SelectionStats::OfflineHits), and everything else through the
-/// normal three-tier probe. Output is byte-identical to dp on every
+/// normal cache probe. Output is byte-identical to dp on every
 /// grammar, including dyn-cost grammars the pure offline backend
 /// rejects.
 class HybridBackend final : public OnDemandBackend {

@@ -133,10 +133,6 @@ Expected<pipeline::CompileService *> TcpServer::lane(BackendKind K) {
   if (!S)
     return S.takeError();
   Slot = std::move(*S);
-  // A lane born while the governor already holds pressure starts degraded
-  // — it would otherwise grow the very tiers the governor is shedding.
-  if (Pressure.load(std::memory_order_relaxed))
-    Slot->backend().setMemoryPressure(true);
   return Slot.get();
 }
 
@@ -322,17 +318,12 @@ std::string TcpServer::statsJson(BackendKind K, Conn &C,
                                  pipeline::CompileService *Svc,
                                  const std::string &GrammarName) {
   pipeline::ServiceStats S;
-  TierDecisions Tier;
-  Tier.Config = TierConfig{false, 1, false};
-  Tier.PromoteThreshold = 0;
   {
     std::lock_guard<std::mutex> L(LanesM);
     if (!Svc)
       Svc = Lanes[static_cast<std::size_t>(K)].get();
-    if (Svc) {
+    if (Svc)
       S = Svc->statsSnapshot();
-      Tier = Svc->backend().tierDecisions();
-    }
   }
   std::uint64_t ConnSub = 0, ConnDel = 0;
   {
@@ -340,16 +331,15 @@ std::string TcpServer::statsJson(BackendKind K, Conn &C,
     ConnSub = C.Submitted;
     ConnDel = C.Delivered;
   }
+  // l1HitRate and denseHitRate name warm-path tiers that no longer
+  // exist; they stay, always 0, for clients that still read them.
   std::string Line = formatf(
       "STATS {\"backend\":\"%s\",\"grammar\":\"%s\","
       "\"submitted\":%zu,\"delivered\":%zu,"
       "\"queueDepth\":%zu,\"workers\":%u,\"latencySamples\":%zu,"
       "\"p50Us\":%.1f,\"p90Us\":%.1f,\"p99Us\":%.1f,"
-      "\"l1HitRate\":%.4f,\"denseHitRate\":%.4f,\"cacheHitRate\":%.4f,"
+      "\"l1HitRate\":0.0000,\"denseHitRate\":0.0000,\"cacheHitRate\":%.4f,"
       "\"offlineHitRate\":%.4f,"
-      "\"adaptive\":%s,\"tierL1On\":%s,\"tierL1Ways\":%u,"
-      "\"tierDenseOn\":%s,\"tierPromoteThreshold\":%u,"
-      "\"tierWindows\":%llu,\"tierReconfigs\":%llu,"
       "\"connSubmitted\":%llu,\"connDelivered\":%llu,"
       "\"connectionsActive\":%u,\"connectionsAccepted\":%llu,"
       "\"deadlineExpired\":%zu,\"maxConns\":%u,"
@@ -359,13 +349,8 @@ std::string TcpServer::statsJson(BackendKind K, Conn &C,
       "\"backendBytes\":%zu,\"memBudget\":%zu,\"draining\":%s",
       backendName(K), GrammarName.c_str(), S.Submitted, S.Delivered,
       S.QueueDepth, S.Workers,
-      S.LatencySamples, S.P50Us, S.P90Us, S.P99Us, S.l1HitRate(),
-      S.denseHitRate(), S.cacheHitRate(), S.offlineHitRate(),
-      Tier.Adaptive ? "true" : "false",
-      Tier.Config.L1On ? "true" : "false", Tier.Config.L1Ways,
-      Tier.Config.DenseOn ? "true" : "false", Tier.PromoteThreshold,
-      static_cast<unsigned long long>(Tier.Windows),
-      static_cast<unsigned long long>(Tier.Reconfigs),
+      S.LatencySamples, S.P50Us, S.P90Us, S.P99Us, S.cacheHitRate(),
+      S.offlineHitRate(),
       static_cast<unsigned long long>(ConnSub),
       static_cast<unsigned long long>(ConnDel), connectionsActive(),
       static_cast<unsigned long long>(connectionsAccepted()),
@@ -375,7 +360,7 @@ std::string TcpServer::statsJson(BackendKind K, Conn &C,
       static_cast<unsigned long long>(IdleReapedCount.load()),
       static_cast<unsigned long long>(CancelledCount.load()),
       static_cast<unsigned long long>(fault::firedTotal()),
-      (Tier.Degraded || Pressure.load()) ? "true" : "false",
+      Pressure.load() ? "true" : "false",
       BackendBytes.load(), Opts.MemBudgetBytes,
       Draining.load() ? "true" : "false");
   if (Opts.Registry) {
@@ -750,19 +735,12 @@ void TcpServer::governorLoop() {
       Total += Opts.Registry->backendBytes();
     BackendBytes.store(Total, std::memory_order_relaxed);
     if (Opts.MemBudgetBytes) {
-      // Hysteresis: engage above the budget, release only once shedding
-      // (plus the clamp stopping growth) brought usage under 90% of it —
-      // one sample hovering at the line must not flap the tiers.
+      // Hysteresis: engage above the budget, release only under 90% of
+      // it — one sample hovering at the line must not flap the flag.
       bool P = Pressure.load(std::memory_order_relaxed);
-      bool NewP = P ? Total >= Opts.MemBudgetBytes - Opts.MemBudgetBytes / 10
-                    : Total > Opts.MemBudgetBytes;
-      if (NewP != P) {
-        Pressure.store(NewP, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> L(LanesM);
-        for (const std::unique_ptr<pipeline::CompileService> &Lp : Lanes)
-          if (Lp)
-            Lp->backend().setMemoryPressure(NewP);
-      }
+      Pressure.store(P ? Total >= Opts.MemBudgetBytes - Opts.MemBudgetBytes / 10
+                       : Total > Opts.MemBudgetBytes,
+                     std::memory_order_relaxed);
     }
     if (Opts.Registry) {
       // Registry upkeep: over budget, reap idle lanes immediately (their

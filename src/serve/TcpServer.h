@@ -80,8 +80,9 @@
 /// out-of-band `ERROR ResourceExhausted ... seq=K` record instead of
 /// blocking the reader, an idle-connection reaper (`ERROR IdleTimeout`),
 /// per-function compile deadlines answered in the ordered slot
-/// (`ERROR DeadlineExceeded ... seq=K`), and a memory governor that holds
-/// lane backends degraded while their shared state exceeds a byte budget.
+/// (`ERROR DeadlineExceeded ... seq=K`), and a memory governor that
+/// reports the server degraded while its backends' shared state exceeds
+/// a byte budget.
 /// beginDrain()/drained() implement graceful shutdown: stop accepting,
 /// finish in-flight work, then stop(). Every path counts — see the
 /// counter accessors and the STATS line.
@@ -159,13 +160,12 @@ public:
     /// instead of being compiled (see CompileService::Options::DeadlineNs).
     std::uint64_t CompileDeadlineMs = 0;
     /// Global budget for the lanes' shared backend state (automata,
-    /// tables). A governor thread samples against it and, under pressure,
-    /// drives every lane's backend to shed regrowable tiers
-    /// (LabelerBackend::setMemoryPressure) until usage falls back under.
-    /// With a registry attached the sample includes the registry's
-    /// resident backends, and the governor additionally reaps idle
-    /// registry lanes and runs GrammarRegistry::maintain() each tick —
-    /// the eviction path.
+    /// tables). A governor thread samples against it and reports the
+    /// server degraded (STATS `degraded`) while usage is over it. With a
+    /// registry attached the sample includes the registry's resident
+    /// backends, and the governor additionally reaps idle registry lanes
+    /// and runs GrammarRegistry::maintain() each tick — the eviction
+    /// path.
     std::size_t MemBudgetBytes = 0;
     /// @}
 
@@ -233,7 +233,7 @@ public:
   /// Responses dropped against dead connections — results whose client
   /// vanished before delivery (plus any queued records the death voided).
   std::uint64_t cancelledDeliveries() const { return CancelledCount.load(); }
-  /// The memory governor currently holds the lanes in degraded mode.
+  /// The memory governor currently reports the lanes over budget.
   bool degraded() const { return Pressure.load(); }
   /// Last backend-bytes sample the governor took (0 until its first tick).
   std::size_t backendBytesSampled() const { return BackendBytes.load(); }
@@ -307,9 +307,8 @@ private:
   std::atomic<std::uint64_t> CancelledCount{0};
 
   /// The memory governor (runs only with Options::MemBudgetBytes set):
-  /// samples lane backend bytes every ~20ms and flips the lanes'
-  /// setMemoryPressure lever with hysteresis (on above the budget, off
-  /// below 90% of it).
+  /// samples lane backend bytes every ~20ms and flips the degraded flag
+  /// with hysteresis (on above the budget, off below 90% of it).
   std::thread GovThread;
   std::mutex GovM;
   std::condition_variable GovCv;

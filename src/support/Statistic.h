@@ -29,24 +29,22 @@ struct SelectionStats {
   std::uint64_t RuleChecks = 0;
   /// Chain-rule relaxation steps performed.
   std::uint64_t ChainRelaxations = 0;
-  /// Transition-cache probes (on-demand automaton fast path). With a
-  /// per-worker L1 micro-cache in front, only L1 misses reach the shared
-  /// cache, so CacheProbes == L1Probes - L1Hits + uncacheable probes.
+  /// Transition-cache probes (on-demand automaton fast path): one per
+  /// node the offline partition did not resolve, so CacheProbes ==
+  /// NodesLabeled - OfflineHits with the cache on.
   std::uint64_t CacheProbes = 0;
   /// Transition-cache hits.
   std::uint64_t CacheHits = 0;
-  /// Per-worker L1 micro-cache probes (zero when labeling without one).
+  /// \name Retired warm-path tiers
+  /// No engine has a per-worker L1 micro-cache or a dense-row tier any
+  /// more; these stay 0. They are kept only because perfbench still
+  /// reads them.
+  /// @{
   std::uint64_t L1Probes = 0;
-  /// Per-worker L1 micro-cache hits; each saves one seqlock probe of the
-  /// shared transition cache.
   std::uint64_t L1Hits = 0;
-  /// Dense-row tier probes (on-demand automaton; eligible operators on an
-  /// L1 miss). With the dense tier in front of the shared cache,
-  /// CacheProbes == NodesLabeled - L1Hits - DenseHits.
   std::uint64_t DenseProbes = 0;
-  /// Dense-row tier hits; each resolves a transition by direct array
-  /// indexing (offline-table style) instead of a hashed seqlock probe.
   std::uint64_t DenseHits = 0;
+  /// @}
   /// States computed from scratch (on-demand slow path / offline generator).
   std::uint64_t StatesComputed = 0;
   /// Dynamic-cost hook evaluations.
@@ -54,7 +52,7 @@ struct SelectionStats {
   /// Dense-table lookups (offline labeler fast path).
   std::uint64_t TableLookups = 0;
   /// Hybrid backend: nodes resolved by direct offline-partition table
-  /// indexing, skipping key construction and every warm-path tier.
+  /// indexing, skipping key construction and the cache probe.
   std::uint64_t OfflineHits = 0;
 
   void reset() { *this = SelectionStats(); }
@@ -79,9 +77,8 @@ struct SelectionStats {
   /// Total per-node "work units": the sum of all counted operations. A
   /// software stand-in for the executed-instructions metric of the paper.
   std::uint64_t workUnits() const {
-    return RuleChecks + ChainRelaxations + CacheProbes + L1Probes +
-           DenseProbes + StatesComputed + DynCostEvals + TableLookups +
-           OfflineHits;
+    return RuleChecks + ChainRelaxations + CacheProbes + StatesComputed +
+           DynCostEvals + TableLookups + OfflineHits;
   }
 };
 

@@ -11,12 +11,15 @@
 // differ only in how fast they find the cover, never in which cover they
 // find. A second suite runs the hybrid against DP on the *full* dyn-cost
 // grammars — the configurations pure offline tables reject — across
-// 1/2/4/8 worker threads.
+// 1/2/4/8 worker threads. A third compares DP and the on-demand automaton
+// on a large synthesized grammar, big enough that the automaton's cache
+// holds thousands of states, at 1 and 4 workers.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/CompileSession.h"
 
+#include "grammar/Synthesize.h"
 #include "targets/Target.h"
 #include "workload/Synthetic.h"
 
@@ -81,39 +84,10 @@ TEST_P(BackendDifferential, AllBackendsEmitIdenticalCode) {
   std::vector<std::vector<std::tuple<std::uint32_t, RuleId, NonterminalId>>>
       RefSel;
   bool HaveRef = false;
-  // The on-demand backend runs three times: with its dense-row tier (an
-  // aggressive promotion threshold so rows really serve), without it, and
-  // under the adaptive TierController with a tiny observation window (so
-  // it reconfigures the warm path mid-corpus). Tiers — and the controller
-  // reshaping them — are pure accelerators and must never move a single
-  // byte of assembly.
-  struct Config {
-    BackendKind Kind;
-    bool DenseRows;
-    unsigned PromoteThreshold;
-    bool Adaptive;
-  };
-  // The hybrid runs twice: with the dense-row tier and without. On a
-  // fixed-cost grammar its partition covers every operator, so both
-  // configurations exercise the degenerate all-offline dispatch.
-  for (const Config &C : {Config{BackendKind::DP, false, 0, false},
-                          Config{BackendKind::Offline, false, 0, false},
-                          Config{BackendKind::OnDemand, true, 1, false},
-                          Config{BackendKind::OnDemand, false, 0, false},
-                          Config{BackendKind::OnDemand, true, 0, true},
-                          Config{BackendKind::Hybrid, true, 1, false},
-                          Config{BackendKind::Hybrid, false, 0, false}}) {
-    BackendKind Kind = C.Kind;
+  for (BackendKind Kind : {BackendKind::DP, BackendKind::Offline,
+                           BackendKind::OnDemand, BackendKind::Hybrid}) {
     CompileSession::Options Opts;
     Opts.Backend = Kind;
-    Opts.BackendOpts.Automaton.DenseRows = C.DenseRows;
-    if (C.PromoteThreshold)
-      Opts.BackendOpts.Automaton.DensePromoteThreshold = C.PromoteThreshold;
-    Opts.BackendOpts.Adaptive = C.Adaptive;
-    if (C.Adaptive) {
-      Opts.BackendOpts.AdaptiveOpts.WindowNodes = 512;
-      Opts.BackendOpts.AdaptiveOpts.RecoveryWindows = 1;
-    }
     auto Session = CompileSession::create(T->Fixed, nullptr, Opts);
     ASSERT_TRUE(static_cast<bool>(Session))
         << backendName(Kind) << ": " << Session.message();
@@ -203,3 +177,50 @@ TEST_P(BackendDifferential, HybridMatchesDPOnDynamicCostGrammars) {
 
 INSTANTIATE_TEST_SUITE_P(AllTargets, BackendDifferential,
                          ::testing::ValuesIn(targetNames()));
+
+// A synthesized grammar with 16 rules per operator over 6 nonterminals
+// (the shape of the cold_synth benchmark workload): the automaton builds
+// thousands of states, so concurrent workers race state construction and
+// cache inserts throughout the cold pass. Synthesized grammars carry no
+// emit templates, so the fired-rule sequence and the total cost are the
+// observable output; both must match DP's at 1 and 4 workers, cold and
+// warm.
+TEST(BackendDifferentialSynth, LargeGrammarIdenticalAtFourWorkers) {
+  SynthesisParams P;
+  P.NumLeafOps = 6;
+  P.NumUnaryOps = 8;
+  P.NumBinaryOps = 8;
+  P.NumNts = 6;
+  P.RulesPerOp = 16;
+  P.Seed = 5;
+  Grammar G = cantFail(synthesizeGrammar(P));
+  RNG Rand(0x5EED);
+  std::vector<ir::IRFunction> Corpus(24);
+  for (ir::IRFunction &F : Corpus)
+    for (int Root = 0; Root < 4; ++Root)
+      F.addRoot(synthesizeTree(G, F, Rand, /*Budget=*/500));
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  CompileSession::Options DPOpts;
+  DPOpts.Backend = BackendKind::DP;
+  CompileSession DP(G, nullptr, DPOpts);
+  std::vector<CompileResult> Ref = DP.compileFunctions(Ptrs, 1);
+  for (const CompileResult &R : Ref)
+    ASSERT_TRUE(R.ok()) << R.Diagnostic;
+  auto RefSel = selections(Ref);
+  Cost RefCost = CompileSession::totalCost(Ref);
+
+  for (unsigned Threads : {1u, 4u}) {
+    CompileSession OnDemand(G);
+    for (const char *Pass : {"cold", "warm"}) {
+      SessionStats Stats;
+      std::vector<CompileResult> Results =
+          OnDemand.compileFunctions(Ptrs, Threads, &Stats);
+      EXPECT_EQ(Stats.Failed, 0u);
+      EXPECT_EQ(selections(Results), RefSel) << Pass << " x" << Threads;
+      EXPECT_EQ(CompileSession::totalCost(Results), RefCost)
+          << Pass << " x" << Threads;
+    }
+    EXPECT_GT(OnDemand.automaton().numStates(), 1000u);
+  }
+}

@@ -194,7 +194,9 @@ TEST(CompileSession, BackendOptionSelectsEngineAndPreservesOutput) {
       EXPECT_EQ(Stats.Label.CacheProbes, 0u);
       break;
     case BackendKind::OnDemand:
-      EXPECT_GT(Stats.Label.L1Probes + Stats.Label.CacheProbes, 0u);
+      EXPECT_GT(Stats.Label.CacheProbes, 0u);
+      break;
+    case BackendKind::Hybrid: // Not in this loop.
       break;
     }
   }
@@ -209,64 +211,15 @@ TEST(CompileSession, CreateReportsTypedErrorForOfflineDynamicCosts) {
   EXPECT_EQ(Session.kind(), ErrorKind::UnsupportedDynamicCosts);
 }
 
-TEST(CompileSession, L1HitRateSurfacesInSessionStats) {
-  auto T = cantFail(makeTarget("vm64"));
-  std::vector<ir::IRFunction> Corpus = makeCorpus(T->G);
-  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
-
-  CompileSession Session(*T);
-  SessionStats Cold;
-  Session.compileFunctions(Ptrs, 2, &Cold);
-
-  // Warm batch: virtually every node resolves in some worker's L1, a
-  // dense row, or the shared cache; the L1 must be doing real work and
-  // the three tiers must account for every node exactly once.
-  SessionStats Warm;
-  Session.compileFunctions(Ptrs, 2, &Warm);
-  EXPECT_GT(Warm.Label.L1Probes, 0u);
-  EXPECT_GT(Warm.l1HitRate(), 0.5);
-  EXPECT_EQ(Warm.Label.NodesLabeled, Warm.Label.L1Hits +
-                                         Warm.Label.DenseHits +
-                                         Warm.Label.CacheProbes);
-  EXPECT_EQ(Warm.Label.CacheHits, Warm.Label.CacheProbes);
-
-  // Ablated: no L1 probes at all, all nodes on the dense tier or the
-  // shared cache.
-  CompileSession::Options NoL1;
-  NoL1.BackendOpts.UseL1Cache = false;
-  CompileSession Plain(T->G, &T->Dyn, NoL1);
-  Plain.compileFunctions(Ptrs, 2);
-  SessionStats PlainWarm;
-  Plain.compileFunctions(Ptrs, 2, &PlainWarm);
-  EXPECT_EQ(PlainWarm.Label.L1Probes, 0u);
-  EXPECT_EQ(PlainWarm.l1HitRate(), 0.0);
-  EXPECT_EQ(PlainWarm.Label.NodesLabeled,
-            PlainWarm.Label.DenseHits + PlainWarm.Label.CacheProbes);
-
-  // Dense rows off: every L1 miss lands on the shared cache, the classic
-  // two-level accounting.
-  CompileSession::Options NoDense;
-  NoDense.BackendOpts.Automaton.DenseRows = false;
-  CompileSession TwoTier(T->G, &T->Dyn, NoDense);
-  TwoTier.compileFunctions(Ptrs, 2);
-  SessionStats TwoTierWarm;
-  TwoTier.compileFunctions(Ptrs, 2, &TwoTierWarm);
-  EXPECT_EQ(TwoTierWarm.Label.DenseProbes, 0u);
-  EXPECT_EQ(TwoTierWarm.denseHitRate(), 0.0);
-  EXPECT_EQ(TwoTierWarm.Label.NodesLabeled,
-            TwoTierWarm.Label.L1Hits + TwoTierWarm.Label.CacheProbes);
-}
-
 TEST(CompileSession, HitRateAccessorsAreZeroNotNaNOnZeroProbes) {
-  // A default-constructed stats object has zero probes everywhere; the
-  // rate accessors must read 0, not NaN (division by zero would poison
-  // every JSON report and comparison downstream).
+  // A default-constructed stats object has zero nodes; the rate accessor
+  // must read 0, not NaN (division by zero would poison every JSON report
+  // and comparison downstream).
   SessionStats Empty;
-  EXPECT_EQ(Empty.l1HitRate(), 0.0);
-  EXPECT_EQ(Empty.denseHitRate(), 0.0);
+  EXPECT_EQ(Empty.offlineHitRate(), 0.0);
 
-  // A DP-backend batch never probes any tier: same invariant on a stats
-  // object that went through a real compile.
+  // A DP-backend batch resolves nothing from tables or caches: same
+  // invariant on a stats object that went through a real compile.
   auto T = cantFail(makeTarget("x86"));
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->G);
   std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
@@ -276,45 +229,9 @@ TEST(CompileSession, HitRateAccessorsAreZeroNotNaNOnZeroProbes) {
   SessionStats Stats;
   Session.compileFunctions(Ptrs, 2, &Stats);
   EXPECT_GT(Stats.Label.NodesLabeled, 0u);
-  EXPECT_EQ(Stats.Label.L1Probes, 0u);
-  EXPECT_EQ(Stats.Label.DenseProbes, 0u);
-  EXPECT_EQ(Stats.l1HitRate(), 0.0);
-  EXPECT_EQ(Stats.denseHitRate(), 0.0);
-  // And the tier report for an engine without a tier stack is all-off,
-  // not adaptive.
-  EXPECT_FALSE(Stats.Tier.Adaptive);
-  EXPECT_FALSE(Stats.Tier.Config.L1On);
-  EXPECT_FALSE(Stats.Tier.Config.DenseOn);
-}
-
-TEST(CompileSession, TierDecisionsReportStaticAndAdaptiveConfigs) {
-  auto T = cantFail(makeTarget("x86"));
-  std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed);
-  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
-
-  // Adaptive disabled (the default): the report mirrors the static
-  // options and stays constant across batches — no controller churn.
-  CompileSession Static(T->Fixed, nullptr);
-  SessionStats S1, S2;
-  Static.compileFunctions(Ptrs, 2, &S1);
-  Static.compileFunctions(Ptrs, 2, &S2);
-  EXPECT_FALSE(S1.Tier.Adaptive);
-  EXPECT_TRUE(S1.Tier.Config.L1On);
-  EXPECT_TRUE(S1.Tier.Config.DenseOn);
-  EXPECT_EQ(S1.Tier.Windows, 0u);
-  EXPECT_EQ(S2.Tier.Reconfigs, 0u);
-  EXPECT_EQ(S1.Tier.Config.pack(), S2.Tier.Config.pack());
-
-  // Adaptive enabled: the flag flips and the same corpus still compiles
-  // to the same bytes.
-  CompileSession::Options Opts;
-  Opts.BackendOpts.Adaptive = true;
-  CompileSession Adaptive(T->Fixed, nullptr, Opts);
-  SessionStats SA;
-  std::vector<CompileResult> RA = Adaptive.compileFunctions(Ptrs, 2, &SA);
-  EXPECT_TRUE(SA.Tier.Adaptive);
-  std::vector<CompileResult> RS = Static.compileFunctions(Ptrs, 2);
-  EXPECT_EQ(CompileSession::concatAsm(RA), CompileSession::concatAsm(RS));
+  EXPECT_EQ(Stats.Label.CacheProbes, 0u);
+  EXPECT_EQ(Stats.Label.OfflineHits, 0u);
+  EXPECT_EQ(Stats.offlineHitRate(), 0.0);
 }
 
 namespace {

@@ -6,19 +6,44 @@
 // and round-trip; the factory builds every kind and reports typed errors
 // (UnsupportedDynamicCosts for offline x dynamic grammars); each backend
 // labels equivalently to the reference DP labeler through the uniform
-// labelFunction(F, scratch) shape; and one scratch serves many functions
-// and survives rebinding across backends.
+// labelFunction(F, scratch) shape; one scratch serves many functions
+// and survives rebinding across backends and grammars; the work counters
+// account for every node as exactly one offline hit or one cache probe;
+// and the automaton, backend and session report one memory footprint.
 //
 //===----------------------------------------------------------------------===//
 
 #include "select/LabelerBackend.h"
 
 #include "grammar/GrammarParser.h"
+#include "pipeline/CompileSession.h"
+#include "targets/Target.h"
+#include "workload/Synthetic.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace odburg;
+
+namespace {
+
+/// A mixed-profile corpus of mid-sized functions over \p G.
+std::vector<ir::IRFunction> makeCorpus(const Grammar &G) {
+  std::vector<ir::IRFunction> Corpus;
+  for (const char *Name : {"gzip-like", "mcf-like", "art-like"}) {
+    const workload::Profile *P = workload::findProfile(Name);
+    EXPECT_NE(P, nullptr);
+    std::vector<ir::IRFunction> Fns = cantFail(
+        workload::generateBatch(*P, G, /*Count=*/4, /*TargetNodes=*/1200));
+    for (ir::IRFunction &F : Fns)
+      Corpus.push_back(std::move(F));
+  }
+  return Corpus;
+}
+
+} // namespace
 
 TEST(LabelerBackend, NamesParseAndRoundTrip) {
   for (BackendKind K : {BackendKind::DP, BackendKind::Offline,
@@ -229,4 +254,103 @@ TEST(LabelerBackend, IntrospectionMatchesEngines) {
   OD->labelFunction(F, Scratch);
   EXPECT_GT(OD->numStates(), 0u);
   EXPECT_LE(OD->numStates(), Off->numStates());
+}
+
+TEST(LabelerBackend, CountersAccountOneProbeOrOfflineHitPerNode) {
+  // On one thread, every node the offline partition does not resolve is
+  // exactly one transition-cache probe, and every probe either hits or
+  // computes one state. No engine bumps the retired L1/dense counters.
+  auto T = cantFail(targets::makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->G);
+  for (BackendKind K : {BackendKind::OnDemand, BackendKind::Hybrid}) {
+    auto B = cantFail(LabelerBackend::create(K, T->G, &T->Dyn));
+    LabelerScratch Scratch;
+    SelectionStats Total;
+    std::uint64_t LastProbes = 0, LastHits = 0;
+    for (int Pass = 0; Pass < 3; ++Pass) {
+      SelectionStats PassStats;
+      for (ir::IRFunction &F : Corpus)
+        B->labelFunction(F, Scratch, &PassStats);
+      Total += PassStats;
+      EXPECT_GE(Total.CacheProbes, LastProbes) << backendName(K);
+      EXPECT_GE(Total.CacheHits, LastHits) << backendName(K);
+      LastProbes = Total.CacheProbes;
+      LastHits = Total.CacheHits;
+      EXPECT_EQ(Total.CacheProbes, Total.NodesLabeled - Total.OfflineHits)
+          << backendName(K);
+      EXPECT_EQ(Total.CacheHits + Total.StatesComputed, Total.CacheProbes)
+          << backendName(K);
+      // Warm passes resolve every probe from the cache.
+      if (Pass > 0) {
+        EXPECT_EQ(PassStats.StatesComputed, 0u) << backendName(K);
+        EXPECT_EQ(PassStats.CacheHits, PassStats.CacheProbes)
+            << backendName(K);
+      }
+    }
+    EXPECT_GT(Total.CacheProbes, 0u) << backendName(K);
+    if (K == BackendKind::Hybrid)
+      EXPECT_GT(Total.OfflineHits, 0u);
+    else
+      EXPECT_EQ(Total.OfflineHits, 0u);
+    EXPECT_EQ(Total.L1Probes, 0u);
+    EXPECT_EQ(Total.L1Hits, 0u);
+    EXPECT_EQ(Total.DenseProbes, 0u);
+    EXPECT_EQ(Total.DenseHits, 0u);
+  }
+}
+
+TEST(LabelerBackend, MemoryBytesAgreeAcrossAutomatonBackendAndSession) {
+  auto T = cantFail(targets::makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed);
+  std::vector<ir::IRFunction *> Ptrs;
+  for (ir::IRFunction &F : Corpus)
+    Ptrs.push_back(&F);
+
+  for (BackendKind K : {BackendKind::OnDemand, BackendKind::Hybrid}) {
+    pipeline::CompileSession::Options Opts;
+    Opts.Backend = K;
+    auto Session =
+        cantFail(pipeline::CompileSession::create(T->Fixed, nullptr, Opts));
+    pipeline::SessionStats Stats;
+    Session->compileFunctions(Ptrs, 2, &Stats);
+    Session->compileFunctions(Ptrs, 2, &Stats);
+
+    const auto &B = static_cast<const OnDemandBackend &>(Session->backend());
+    const OnDemandAutomaton &A = B.automaton();
+    EXPECT_GT(A.memoryBytes(), 0u) << backendName(K);
+    // The session surfaces the backend's number; the on-demand backend's
+    // number is its automaton's, the hybrid's adds its offline tables.
+    EXPECT_EQ(Stats.BackendBytes, B.memoryBytes()) << backendName(K);
+    std::size_t Tables =
+        K == BackendKind::Hybrid
+            ? static_cast<const HybridBackend &>(B).tables().stats().TableBytes
+            : 0;
+    EXPECT_EQ(B.memoryBytes(), A.memoryBytes() + Tables) << backendName(K);
+  }
+}
+
+TEST(LabelerBackend, ScratchReboundAcrossGrammarsStaysCorrect) {
+  // One scratch labels x86 functions, then moves to a mips backend whose
+  // state ids mean different things. Its labeling must match DP exactly,
+  // as a fresh scratch's does.
+  auto TX = cantFail(targets::makeTarget("x86"));
+  auto TM = cantFail(targets::makeTarget("mips"));
+  std::vector<ir::IRFunction> CX = makeCorpus(TX->G);
+  std::vector<ir::IRFunction> CM = makeCorpus(TM->G);
+
+  LabelerScratch Shared;
+  auto BX = cantFail(
+      LabelerBackend::create(BackendKind::OnDemand, TX->G, &TX->Dyn));
+  for (ir::IRFunction &F : CX)
+    BX->labelFunction(F, Shared);
+
+  DPLabeler Ref(TM->G, &TM->Dyn);
+  for (BackendKind K : {BackendKind::OnDemand, BackendKind::Hybrid,
+                        BackendKind::DP}) {
+    auto BM = cantFail(LabelerBackend::create(K, TM->G, &TM->Dyn));
+    for (ir::IRFunction &F : CM) {
+      DPLabeling Want = Ref.label(F);
+      test::expectEquivalent(TM->G, F, Want, BM->labelFunction(F, Shared));
+    }
+  }
 }

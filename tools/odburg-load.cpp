@@ -397,9 +397,9 @@ bool parseSeqField(const std::string &Line, unsigned &Seq) {
   return Any;
 }
 
-/// Whether the one-line STATS JSON carries \p Key at all. The tier
-/// telemetry fields are doubles/booleans, so presence is the contract the
-/// load generator can check without a JSON parser.
+/// Whether the one-line STATS JSON carries \p Key at all. The hit-rate
+/// fields are doubles, so presence is the contract the load generator
+/// can check without a JSON parser.
 bool statsHasField(const std::string &Json, const std::string &Key) {
   return Json.find("\"" + Key + "\":") != std::string::npos;
 }
@@ -577,15 +577,12 @@ ConnOutcome runAttempt(const LoadOptions &Opts, const ConnPlan &Plan,
       Out.Detail = "dead STATS counters: " + Line;
       return Out;
     }
-    // The warm-path tier telemetry must always be present — per-tier hit
-    // rates plus the (adaptive or static) controller decisions.
-    for (const char *Key :
-         {"l1HitRate", "denseHitRate", "cacheHitRate", "adaptive",
-          "tierL1On", "tierL1Ways", "tierDenseOn", "tierPromoteThreshold",
-          "tierWindows", "tierReconfigs"})
+    // The warm-path hit rates must always be present (l1HitRate and
+    // denseHitRate read 0 since those tiers were retired).
+    for (const char *Key : {"l1HitRate", "denseHitRate", "cacheHitRate"})
       if (!statsHasField(Line, Key)) {
         Out.Retryable = false;
-        Out.Detail = std::string("STATS missing tier field '") + Key +
+        Out.Detail = std::string("STATS missing hit-rate field '") + Key +
                      "': " + Line;
         return Out;
       }

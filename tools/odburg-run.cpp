@@ -10,8 +10,8 @@
 /// of IR functions, and compile it end-to-end (label + reduce + emit)
 /// through a CompileSession with a configurable number of worker threads.
 /// Reports end-to-end throughput, the per-phase time split, cache
-/// behavior (shared transition cache and per-worker L1 micro-cache), and
-/// a bit-identity check of the concatenated assembly across thread counts
+/// behavior (offline-partition hits and transition-cache hits), and a
+/// bit-identity check of the concatenated assembly across thread counts
 /// and across backends on the same grammar.
 ///
 /// This is the paper's three-way comparison as one CLI: --backend picks
@@ -60,11 +60,6 @@ struct DriverOptions {
   std::vector<unsigned> Threads = {1, 0}; // 0 = hardware concurrency.
   unsigned Repeat = 3;
   bool UseCache = true;
-  bool UseL1 = true;
-  bool UseDense = true;
-  /// Attach the self-tuning TierController (ondemand backend).
-  bool Adaptive = false;
-  unsigned L1Ways = 0; // 0 = auto (2-way on dyn-cost grammars).
   bool ForceFixed = false;
   unsigned MaxStates = 0; // 0 = automaton default.
   /// Write the first reference row's concatenated assembly here (the
@@ -100,19 +95,8 @@ int usage(const char *Argv0, int Exit) {
       "  --threads=N[,N...]    worker counts to run; 0 = hardware concurrency\n"
       "                        (default 1,0)\n"
       "  --repeat=N            warm passes per row, best-of (default 3)\n"
-      "  --no-cache            disable the transition cache and the L1\n"
-      "                        micro-cache (ablation; ondemand backend)\n"
-      "  --no-l1               keep the shared cache but disable the\n"
-      "                        per-worker L1 micro-cache (ablation)\n"
-      "  --no-dense            disable the adaptive dense-row tier; every\n"
-      "                        L1 miss probes the hashed cache (ablation)\n"
-      "  --adaptive            attach the self-tuning TierController: tier\n"
-      "                        configuration (L1 on/off/ways, dense on/off,\n"
-      "                        promotion threshold) is retuned at runtime\n"
-      "                        from measured hit rates (ondemand backend;\n"
-      "                        see the tier column)\n"
-      "  --l1-ways=N           L1 associativity: 1 direct-mapped, 2 two-way\n"
-      "                        (default: auto — 2-way on dyn-cost grammars)\n"
+      "  --no-cache            disable the transition cache (ablation;\n"
+      "                        ondemand and hybrid backends)\n"
       "  --max-states=N        override the automaton state-growth bound\n"
       "  --emit-asm=PATH       write the first reference row's concatenated\n"
       "                        assembly to PATH (for diffing against the\n"
@@ -149,19 +133,6 @@ bool parseArgs(int Argc, char **Argv, DriverOptions &Opts, int &ExitCode) {
     }
     if (Arg == "--no-cache") {
       Opts.UseCache = false;
-    } else if (Arg == "--no-l1") {
-      Opts.UseL1 = false;
-    } else if (Arg == "--no-dense") {
-      Opts.UseDense = false;
-    } else if (Arg == "--adaptive") {
-      Opts.Adaptive = true;
-    } else if (startsWith(Arg, "--l1-ways=")) {
-      if (!parseUnsigned(Value("--l1-ways="), Opts.L1Ways) ||
-          Opts.L1Ways < 1 || Opts.L1Ways > 2) {
-        std::fprintf(stderr, "invalid --l1-ways value (1 or 2)\n");
-        ExitCode = usage(Argv[0], 2);
-        return false;
-      }
     } else if (Arg == "--fixed") {
       Opts.ForceFixed = true;
     } else if (startsWith(Arg, "--backend=")) {
@@ -282,27 +253,6 @@ bool writeFile(const std::string &Path, const std::string &Text) {
   return true;
 }
 
-/// Renders the warm-path tier configuration as one compact cell:
-/// "l1x2+dn@64+l2" is a 2-way L1 over the dense tier (promotion threshold
-/// 64) over the hashed L2; dropped tiers drop out of the chain. Adaptive
-/// configurations carry an "adp:" prefix and the controller's progress as
-/// ":wW:rR" (observation windows evaluated, reconfigurations applied).
-std::string tierCell(BackendKind Backend, const TierDecisions &D) {
-  if (Backend != BackendKind::OnDemand && Backend != BackendKind::Hybrid)
-    return "-";
-  std::string S = D.Adaptive ? "adp:" : "";
-  if (D.Config.L1On)
-    S += formatf("l1x%u+", D.Config.L1Ways);
-  if (D.Config.DenseOn)
-    S += formatf("dn@%u+", D.PromoteThreshold);
-  S += "l2";
-  if (D.Adaptive)
-    S += formatf(":w%llu:r%llu",
-                 static_cast<unsigned long long>(D.Windows),
-                 static_cast<unsigned long long>(D.Reconfigs));
-  return S;
-}
-
 /// Renders \p Corpus in the odburg-serve wire format: each statement root
 /// as one s-expression line, one blank line between functions.
 std::string corpusToWire(const std::vector<ir::IRFunction> &Corpus,
@@ -334,8 +284,7 @@ int main(int Argc, char **Argv) {
       resolveThreads(0)));
   Table.setHeader({"target", "profile", "backend", "gram", "thr", "nodes",
                    "cold ms", "warm ms", "fn/s", "speedup", "lbl/red/emt %",
-                   "off%", "l1%", "dn%", "hit%", "tier", "states", "asm KB",
-                   "asm"});
+                   "off%", "hit%", "states", "asm KB", "asm"});
 
   bool AllIdentical = true;
   bool AnyFailed = false;
@@ -399,10 +348,6 @@ int main(int Argc, char **Argv) {
         CompileSession::Options SOpts;
         SOpts.Backend = Backend;
         SOpts.BackendOpts.Automaton.UseTransitionCache = Opts.UseCache;
-        SOpts.BackendOpts.Automaton.DenseRows = Opts.UseCache && Opts.UseDense;
-        SOpts.BackendOpts.UseL1Cache = Opts.UseCache && Opts.UseL1;
-        SOpts.BackendOpts.L1Ways = Opts.L1Ways;
-        SOpts.BackendOpts.Adaptive = Opts.Adaptive;
         if (Opts.MaxStates) {
           SOpts.BackendOpts.Automaton.MaxStates = Opts.MaxStates;
           SOpts.BackendOpts.OfflineMaxStates = Opts.MaxStates;
@@ -486,9 +431,7 @@ int main(int Argc, char **Argv) {
                formatFixed(BaselineWarmNs / static_cast<double>(WarmNs), 2),
                phaseSplit(Warm),
                formatFixed(100.0 * Warm.offlineHitRate(), 1),
-               formatFixed(100.0 * Warm.l1HitRate(), 1),
-               formatFixed(100.0 * Warm.denseHitRate(), 1),
-               formatFixed(HitPct, 1), tierCell(Backend, Warm.Tier),
+               formatFixed(HitPct, 1),
                formatThousands(Session.backend().numStates()),
                formatThousands(Asm.size() / 1024), Check});
         }
@@ -501,15 +444,10 @@ int main(int Argc, char **Argv) {
       "\nwarm pass = recompiling the corpus end-to-end against the already-\n"
       "warm backend (the JIT steady state); fn/s and the label/reduce/emit\n"
       "split are from the best warm pass; speedup is relative to the first\n"
-      "thread count of the same backend. The tier columns split the warm\n"
-      "path (ondemand/hybrid backends): off%% is the share of nodes the\n"
+      "thread count of the same backend. off%% is the share of nodes the\n"
       "hybrid resolved by direct offline-table indexing on the static\n"
-      "partition (before any cache tier), l1%% is the per-worker L1 micro-cache,\n"
-      "dn%% the shared dense-row tier serving L1 misses by direct array\n"
-      "indexing, hit%% the hashed seqlock cache catching the rest. tier is\n"
-      "the configuration in effect at batch end (l1x<ways>+dn@<promote\n"
-      "threshold>+l2; dropped tiers drop out); with --adaptive it carries\n"
-      "an adp: prefix plus :w<windows evaluated>:r<reconfigs applied>.\n"
+      "partition, hit%% the share of the remaining probes the hashed\n"
+      "seqlock transition cache answered (ondemand/hybrid backends).\n"
       "The asm column checks the concatenated assembly and total cost\n"
       "against the first row on the same grammar variant — across thread\n"
       "counts and backends alike, it must never read DIVERGED.\n");

@@ -147,8 +147,8 @@ int usage(const char *Argv0, int Exit) {
       "  --deadline-ms=MS      per-function compile deadline; expired\n"
       "                        submissions answer 'ERROR DeadlineExceeded'\n"
       "                        in their ordered slot\n"
-      "  --mem-budget=MB       backend-memory budget; a governor degrades\n"
-      "                        lane tier stacks while usage exceeds it\n"
+      "  --mem-budget=MB       backend-memory budget; a governor reports\n"
+      "                        the server degraded while usage exceeds it\n"
       "                        (with --registry-dir it also drives LRU\n"
       "                        eviction of idle grammars)\n"
       "  --registry-dir=DIR    multi-tenant mode: serve many grammars from\n"
@@ -540,7 +540,7 @@ int serveNetwork(const ServeOptions &Opts, Target &T) {
   (*Server)->stop();
   if (Registry) {
     // The server is quiescent now; persist the warm automata so the next
-    // process serves its first batch out of the warm tiers.
+    // process serves its first batch out of the warm cache.
     if (!Opts.NoSnapshots) {
       if (Error E = Registry->dumpWarmSnapshots())
         std::fprintf(stderr, "odburg-serve: warm snapshot dump failed: %s\n",

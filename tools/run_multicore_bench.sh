@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Replays every multicore-sensitive bench (p1 parallel scaling, p2
-# pipeline, p4 dense tier, p5 service, p7 adaptive tiers) in one command
+# pipeline, p5 service) in one command
 # on the current machine and collects their --json reports in one
 # directory, each prefixed with the host's core count so reports from
 # different machines can sit side by side. Re-run on a many-core host to
@@ -35,8 +35,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
     -DCMAKE_CXX_FLAGS="-O2 -DNDEBUG" >/dev/null
 fi
 
-BENCHES=(bench_p1_parallel bench_p2_pipeline bench_p4_dense \
-         bench_p5_service bench_p7_adaptive)
+BENCHES=(bench_p1_parallel bench_p2_pipeline bench_p5_service)
 cmake --build "$BUILD" -j "$(nproc)" --target "${BENCHES[@]}"
 
 CORES=$(nproc)

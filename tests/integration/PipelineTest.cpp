@@ -21,8 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <ostream>
-
 using namespace odburg;
 using namespace odburg::targets;
 using namespace odburg::workload;
@@ -39,13 +37,6 @@ struct PipelineCase {
   std::string TargetName;
   std::string ProgramName;
 };
-
-/// gtest prints a parameter in each test's listed name; without a printer
-/// it dumps the object's bytes, heap pointers included, and the name
-/// changes with the heap layout.
-void PrintTo(const PipelineCase &C, std::ostream *OS) {
-  *OS << C.TargetName << '/' << C.ProgramName;
-}
 
 std::vector<PipelineCase> allCases() {
   std::vector<PipelineCase> Cases;
@@ -113,10 +104,6 @@ struct SyntheticCase {
   std::string TargetName;
   std::string ProfileName;
 };
-
-void PrintTo(const SyntheticCase &C, std::ostream *OS) {
-  *OS << C.TargetName << '/' << C.ProfileName;
-}
 
 std::vector<SyntheticCase> syntheticCases() {
   std::vector<SyntheticCase> Cases;

@@ -211,6 +211,39 @@ TEST(CompileSession, CreateReportsTypedErrorForOfflineDynamicCosts) {
   EXPECT_EQ(Session.kind(), ErrorKind::UnsupportedDynamicCosts);
 }
 
+TEST(CompileSession, L1HitRateSurfacesInSessionStats) {
+  // The per-worker L1 is gone; the session's hit accounting is now the
+  // shared cache's and the hybrid's offline index's. A warm batch over two
+  // workers resolves every probe from the cache, the offline share
+  // surfaces in offlineHitRate(), and each node is counted exactly once.
+  auto T = cantFail(makeTarget("vm64"));
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->G);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  for (BackendKind K : {BackendKind::OnDemand, BackendKind::Hybrid}) {
+    CompileSession::Options Opts;
+    Opts.Backend = K;
+    auto Session = cantFail(CompileSession::create(T->G, &T->Dyn, Opts));
+    SessionStats Cold, Warm;
+    Session->compileFunctions(Ptrs, 2, &Cold);
+    Session->compileFunctions(Ptrs, 2, &Warm);
+    EXPECT_GT(Warm.Label.NodesLabeled, 0u) << backendName(K);
+    EXPECT_EQ(Warm.Label.CacheProbes,
+              Warm.Label.NodesLabeled - Warm.Label.OfflineHits)
+        << backendName(K);
+    EXPECT_EQ(Warm.Label.CacheHits, Warm.Label.CacheProbes) << backendName(K);
+    EXPECT_EQ(Warm.Label.StatesComputed, 0u) << backendName(K);
+    EXPECT_EQ(Warm.Label.L1Probes + Warm.Label.DenseProbes, 0u)
+        << backendName(K);
+    if (K == BackendKind::Hybrid) {
+      EXPECT_GT(Warm.offlineHitRate(), 0.0);
+      EXPECT_LT(Warm.offlineHitRate(), 1.0); // Dyn-cost operators probe.
+    } else {
+      EXPECT_EQ(Warm.offlineHitRate(), 0.0);
+    }
+  }
+}
+
 TEST(CompileSession, HitRateAccessorsAreZeroNotNaNOnZeroProbes) {
   // A default-constructed stats object has zero nodes; the rate accessor
   // must read 0, not NaN (division by zero would poison every JSON report

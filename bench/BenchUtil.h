@@ -17,6 +17,7 @@
 
 #include "core/OnDemandAutomaton.h"
 #include "offline/OfflineTables.h"
+#include "pipeline/CompileService.h"
 #include "select/DPLabeler.h"
 #include "select/Reducer.h"
 #include "support/StringUtil.h"
@@ -31,6 +32,7 @@
 #include <cstdlib>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -256,6 +258,49 @@ std::uint64_t bestOfNs(unsigned Reps, FnT &&Fn) {
     Best = std::min(Best, W.elapsedNs());
   }
   return Best;
+}
+
+/// Compiles \p Fns through \p Svc and waits for every result (the batch
+/// call); stores the pass's wall time in \p WallNs.
+inline std::vector<pipeline::CompileResult>
+timedPass(pipeline::CompileService &Svc, std::span<ir::IRFunction *const> Fns,
+          std::uint64_t &WallNs) {
+  Stopwatch W;
+  std::vector<pipeline::CompileResult> Results =
+      cantFail(pipeline::compileAll(Svc, Fns));
+  WallNs = W.elapsedNs();
+  return Results;
+}
+
+/// Labeling work counters summed over \p Results.
+inline SelectionStats
+labelStats(const std::vector<pipeline::CompileResult> &Results) {
+  SelectionStats S;
+  for (const pipeline::CompileResult &R : Results)
+    S += R.Stats;
+  return S;
+}
+
+/// Renders the label/reduce/emit share of \p Results' summed phase time as
+/// "62/25/13" (percent, rounded), or "-" when no time was recorded. Phase
+/// times are summed across workers, so they give the split, not the wall.
+inline std::string
+labelReduceEmitSplit(const std::vector<pipeline::CompileResult> &Results) {
+  std::uint64_t Ns[3] = {0, 0, 0};
+  for (const pipeline::CompileResult &R : Results) {
+    Ns[0] += R.LabelNs;
+    Ns[1] += R.ReduceNs;
+    Ns[2] += R.EmitNs;
+  }
+  double Total = static_cast<double>(Ns[0]) + static_cast<double>(Ns[1]) +
+                 static_cast<double>(Ns[2]);
+  if (Total == 0)
+    return "-";
+  auto Pct = [Total](std::uint64_t N) {
+    return std::to_string(static_cast<unsigned>(
+        100.0 * static_cast<double>(N) / Total + 0.5));
+  };
+  return Pct(Ns[0]) + "/" + Pct(Ns[1]) + "/" + Pct(Ns[2]);
 }
 
 /// Emitted-instruction count of a selection under \p G (used for the

@@ -28,7 +28,6 @@
 #include "BenchUtil.h"
 
 #include "pipeline/CompileService.h"
-#include "pipeline/CompileSession.h"
 #include "registry/GrammarRegistry.h"
 
 #include <cstdlib>
@@ -109,7 +108,7 @@ Phase runPhase(const std::string &Dir, const std::string &Name,
       Out.Failed = true;
       return Out;
     }
-  Out.Asm = CompileSession::concatAsm(Results);
+  Out.Asm = concatAsm(Results);
   if (Dump) {
     if (Error E = Reg.dumpWarmSnapshots()) {
       std::fprintf(stderr, "FAILURE: dumpWarmSnapshots: %s\n",
@@ -156,11 +155,11 @@ int main(int Argc, char **Argv) {
     for (ir::IRFunction &F : Corpus)
       Ptrs.push_back(&F);
 
-    CompileSession::Options DpOpts;
+    CompileService::Options DpOpts;
     DpOpts.Backend = BackendKind::DP;
-    auto Dp = cantFail(CompileSession::create(T->G, &T->Dyn, DpOpts));
-    std::string Reference =
-        CompileSession::concatAsm(Dp->compileFunctions(Ptrs, /*Threads=*/1));
+    DpOpts.Workers = 1;
+    auto Dp = cantFail(CompileService::create(T->G, &T->Dyn, DpOpts));
+    std::string Reference = concatAsm(cantFail(compileAll(*Dp, Ptrs)));
 
     Phase Cold = runPhase(Dir, Name, Ptrs, /*Dump=*/true);
     Phase Restart = runPhase(Dir, Name, Ptrs, /*Dump=*/false);

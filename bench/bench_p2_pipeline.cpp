@@ -3,11 +3,11 @@
 // Part of the odburg project.
 //
 // P2: thread scaling of the end-to-end compile pipeline (label + reduce +
-// emit per function) over one shared CompileSession (x86 grammar, mixed
-// SPEC-like corpus). Where P1 measures labeling alone, P2 measures whole
-// compilations: each worker runs all three phases for the functions it
-// pulls, so reduction and emission parallelize with labeling instead of
-// serializing after it. The table reports cold and warm functions/sec per
+// emit per function) over one CompileService per thread count (x86
+// grammar, mixed SPEC-like corpus). P2 measures whole compilations: each
+// worker runs all three phases for the functions it pulls, so reduction
+// and emission parallelize with labeling instead of serializing after
+// it. The table reports cold and warm functions/sec per
 // thread count, the warm phase split, and the speedup over one thread —
 // after verifying that every thread count produces byte-identical
 // concatenated assembly and an identical total cover cost.
@@ -18,8 +18,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-
-#include "pipeline/CompileSession.h"
 
 #include <thread>
 
@@ -62,21 +60,20 @@ int main(int Argc, char **Argv) {
   double BaselineNs = 0;
   bool AllIdentical = true;
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    CompileSession Session(T->G, &T->Dyn);
+    CompileService::Options Opts;
+    Opts.Workers = Threads;
+    auto Svc = cantFail(CompileService::create(T->G, &T->Dyn, Opts));
 
-    SessionStats Cold;
-    std::vector<CompileResult> Results =
-        Session.compileFunctions(Ptrs, Threads, &Cold);
-    std::uint64_t ColdNs = Cold.WallNs;
+    std::uint64_t ColdNs = 0;
+    std::vector<CompileResult> Results = timedPass(*Svc, Ptrs, ColdNs);
 
-    SessionStats Warm;
     std::uint64_t WarmNs = ~0ULL;
     for (unsigned R = 0; R < 3; ++R) {
-      SessionStats Pass;
-      Results = Session.compileFunctions(Ptrs, Threads, &Pass);
-      if (Pass.WallNs < WarmNs) {
-        WarmNs = Pass.WallNs;
-        Warm = Pass;
+      std::uint64_t PassNs = 0;
+      std::vector<CompileResult> Pass = timedPass(*Svc, Ptrs, PassNs);
+      if (PassNs < WarmNs) {
+        WarmNs = PassNs;
+        Results = std::move(Pass);
       }
     }
 
@@ -88,8 +85,8 @@ int main(int Argc, char **Argv) {
 
     // The built-in bit-identity check: concatenated assembly and total
     // cost must match the single-thread reference exactly.
-    std::string Asm = CompileSession::concatAsm(Results);
-    Cost TotalCost = CompileSession::totalCost(Results);
+    std::string Asm = concatAsm(Results);
+    Cost TotalCost = totalCost(Results);
     bool Identical = true;
     if (Threads == 1) {
       Reference = std::move(Asm);
@@ -112,7 +109,7 @@ int main(int Argc, char **Argv) {
                          static_cast<double>(WarmNs),
                      1),
          formatFixed(BaselineNs / static_cast<double>(WarmNs), 2),
-         phaseSplit(Warm),
+         labelReduceEmitSplit(Results),
          Identical ? (Threads == 1 ? "reference" : "identical")
                    : "DIVERGED"});
   }

@@ -22,7 +22,6 @@
 #include "BenchUtil.h"
 
 #include "grammar/Synthesize.h"
-#include "pipeline/CompileSession.h"
 #include "support/RNG.h"
 
 #include <thread>
@@ -87,28 +86,26 @@ int main(int Argc, char **Argv) {
        {BackendKind::DP, BackendKind::Offline, BackendKind::OnDemand}) {
     double BaselineNs = 0;
     for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-      CompileSession::Options Opts;
+      CompileService::Options Opts;
       Opts.Backend = Kind;
-      auto SessionOrErr = CompileSession::create(T->Fixed, nullptr, Opts);
-      if (!SessionOrErr) {
-        std::fprintf(stderr, "FAILURE: %s\n", SessionOrErr.message().c_str());
+      Opts.Workers = Threads;
+      auto SvcOrErr = CompileService::create(T->Fixed, nullptr, Opts);
+      if (!SvcOrErr) {
+        std::fprintf(stderr, "FAILURE: %s\n", SvcOrErr.message().c_str());
         return 1;
       }
-      CompileSession &Session = **SessionOrErr;
+      CompileService &Svc = **SvcOrErr;
 
-      SessionStats Cold;
-      std::vector<CompileResult> Results =
-          Session.compileFunctions(Ptrs, Threads, &Cold);
-      std::uint64_t ColdNs = Cold.WallNs;
+      std::uint64_t ColdNs = 0;
+      std::vector<CompileResult> Results = timedPass(Svc, Ptrs, ColdNs);
 
-      SessionStats Warm;
       std::uint64_t WarmNs = ~0ULL;
       for (unsigned R = 0; R < smokeScaled(3, 1); ++R) {
-        SessionStats Pass;
-        Results = Session.compileFunctions(Ptrs, Threads, &Pass);
-        if (Pass.WallNs < WarmNs) {
-          WarmNs = Pass.WallNs;
-          Warm = Pass;
+        std::uint64_t PassNs = 0;
+        std::vector<CompileResult> Pass = timedPass(Svc, Ptrs, PassNs);
+        if (PassNs < WarmNs) {
+          WarmNs = PassNs;
+          Results = std::move(Pass);
         }
       }
 
@@ -120,8 +117,8 @@ int main(int Argc, char **Argv) {
 
       // Identity across backends AND thread counts: one reference for the
       // whole table.
-      std::string Asm = CompileSession::concatAsm(Results);
-      Cost TotalCost = CompileSession::totalCost(Results);
+      std::string Asm = concatAsm(Results);
+      Cost TotalCost = totalCost(Results);
       bool Identical = true;
       if (!HaveReference) {
         HaveReference = true;
@@ -134,9 +131,10 @@ int main(int Argc, char **Argv) {
 
       if (BaselineNs == 0)
         BaselineNs = static_cast<double>(WarmNs);
-      double HitPct = Warm.Label.CacheProbes
-                          ? 100.0 * static_cast<double>(Warm.Label.CacheHits) /
-                                static_cast<double>(Warm.Label.CacheProbes)
+      SelectionStats Label = labelStats(Results);
+      double HitPct = Label.CacheProbes
+                          ? 100.0 * static_cast<double>(Label.CacheHits) /
+                                static_cast<double>(Label.CacheProbes)
                           : 0.0;
       Table.addRow(
           {backendName(Kind), std::to_string(Threads),
@@ -146,7 +144,7 @@ int main(int Argc, char **Argv) {
                            static_cast<double>(WarmNs),
                        1),
            formatFixed(BaselineNs / static_cast<double>(WarmNs), 2),
-           phaseSplit(Warm), formatFixed(HitPct, 1),
+           labelReduceEmitSplit(Results), formatFixed(HitPct, 1),
            !Identical ? "DIVERGED"
            : (Kind == BackendKind::DP && Threads == 1) ? "reference"
                                                        : "identical"});

@@ -3,8 +3,8 @@
 // Part of the odburg project.
 //
 // P5: the streaming submission API vs. equivalent batch calls. The same
-// corpus goes through (a) CompileSession::compileFunctions — the batch
-// wrapper — and (b) a persistent CompileService fed one submit() at a
+// corpus goes through (a) compileAll — submit the whole span, wait for
+// every future — and (b) a persistent CompileService fed one submit() at a
 // time with ordered streaming delivery, at 1/2/4/8 workers, cold (fresh
 // automaton) and warm (steady state). Throughput must match batch within
 // the submission overhead, and the service additionally reports what
@@ -22,7 +22,6 @@
 #include "BenchUtil.h"
 
 #include "pipeline/CompileService.h"
-#include "pipeline/CompileSession.h"
 
 #include <algorithm>
 #include <thread>
@@ -77,26 +76,25 @@ int main(int Argc, char **Argv) {
   std::string Reference;
   bool AllIdentical = true;
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    // ---- Batch mode: the compatibility wrapper. ----
+    // ---- Batch mode: submit everything, then wait. ----
     std::string BatchAsm;
     std::uint64_t BatchColdNs = 0, BatchWarmNs = ~0ULL;
     {
-      CompileSession Session(T->G, &T->Dyn);
-      SessionStats Cold;
-      std::vector<CompileResult> Results =
-          Session.compileFunctions(Ptrs, Threads, &Cold);
-      BatchColdNs = Cold.WallNs;
+      CompileService::Options Opts;
+      Opts.Workers = Threads;
+      auto Svc = cantFail(CompileService::create(T->G, &T->Dyn, Opts));
+      std::vector<CompileResult> Results = timedPass(*Svc, Ptrs, BatchColdNs);
       for (unsigned R = 0; R < WarmReps; ++R) {
-        SessionStats Pass;
-        Results = Session.compileFunctions(Ptrs, Threads, &Pass);
-        BatchWarmNs = std::min(BatchWarmNs, Pass.WallNs);
+        std::uint64_t PassNs = 0;
+        Results = timedPass(*Svc, Ptrs, PassNs);
+        BatchWarmNs = std::min(BatchWarmNs, PassNs);
       }
       for (const CompileResult &R : Results)
         if (!R.ok()) {
           std::fprintf(stderr, "FAILURE: %s\n", R.Diagnostic.c_str());
           return 1;
         }
-      BatchAsm = CompileSession::concatAsm(Results);
+      BatchAsm = concatAsm(Results);
     }
     if (Reference.empty())
       Reference = BatchAsm;
@@ -172,10 +170,10 @@ int main(int Argc, char **Argv) {
   Table.print();
   recordTable("p5_service", Table);
   std::printf(
-      "\nbatch = CompileSession::compileFunctions (submit everything, wait "
-      "for\nall futures); service = one submit() per function against the "
-      "same\npersistent worker pool, results streamed back in submission "
-      "order.\nLatency percentiles are submit -> in-order delivery over the "
+      "\nbatch = compileAll (submit everything, wait for all futures);\n"
+      "service = one submit() per function, results streamed back in "
+      "submission\norder. Each mode runs on its own persistent worker pool."
+      "\nLatency percentiles are submit -> in-order delivery over the "
       "best warm\npass, including backpressure waits at the default queue "
       "bound. The asm\ncolumn compares every mode, thread count, and "
       "temperature against the\n1-thread batch reference — it must never "

@@ -28,8 +28,6 @@
 
 #include "BenchUtil.h"
 
-#include "pipeline/CompileSession.h"
-
 #include <thread>
 
 using namespace odburg;
@@ -54,7 +52,9 @@ std::vector<ir::IRFunction> makeCorpus(const Grammar &G) {
 
 struct Cell {
   std::uint64_t WarmNs = 0;
-  SessionStats Warm;
+  /// Labeling counters and function count summed over the warm passes.
+  SelectionStats Warm;
+  std::uint64_t WarmFunctions = 0;
   std::string Asm;
   bool Failed = false;
 };
@@ -65,26 +65,26 @@ struct Cell {
 Cell runCell(const Grammar &G, const DynCostTable *Dyn, BackendKind Kind,
              std::vector<ir::IRFunction *> &Ptrs, unsigned Threads) {
   Cell Out;
-  CompileSession::Options Opts;
+  CompileService::Options Opts;
   Opts.Backend = Kind;
-  auto SessionOrErr = CompileSession::create(G, Dyn, Opts);
-  if (!SessionOrErr) {
+  Opts.Workers = Threads;
+  auto SvcOrErr = CompileService::create(G, Dyn, Opts);
+  if (!SvcOrErr) {
     std::fprintf(stderr, "FAILURE: %s: %s\n", backendName(Kind),
-                 SessionOrErr.message().c_str());
+                 SvcOrErr.message().c_str());
     Out.Failed = true;
     return Out;
   }
-  CompileSession &Session = **SessionOrErr;
+  CompileService &Svc = **SvcOrErr;
 
   std::vector<CompileResult> Results =
-      Session.compileFunctions(Ptrs, Threads); // Cold pass.
+      cantFail(compileAll(Svc, Ptrs)); // Cold pass.
 
   Stopwatch WarmWall;
   for (unsigned R = 0; R < smokeScaled(3, 1); ++R) {
-    SessionStats Pass;
-    Results = Session.compileFunctions(Ptrs, Threads, &Pass);
-    Out.Warm.Label += Pass.Label;
-    Out.Warm.Functions += Pass.Functions;
+    Results = cantFail(compileAll(Svc, Ptrs));
+    Out.Warm += labelStats(Results);
+    Out.WarmFunctions += Results.size();
   }
   Out.WarmNs = WarmWall.elapsedNs();
 
@@ -95,7 +95,7 @@ Cell runCell(const Grammar &G, const DynCostTable *Dyn, BackendKind Kind,
       Out.Failed = true;
       return Out;
     }
-  Out.Asm = CompileSession::concatAsm(Results);
+  Out.Asm = concatAsm(Results);
   return Out;
 }
 
@@ -149,13 +149,16 @@ int main(int Argc, char **Argv) {
           Reference = C.Asm;
         bool Identical = C.Asm == Reference;
         AllIdentical = AllIdentical && Identical;
-        double FnPerSec = static_cast<double>(C.Warm.Functions) * 1e9 /
+        double FnPerSec = static_cast<double>(C.WarmFunctions) * 1e9 /
                           static_cast<double>(C.WarmNs);
         if (Kind == BackendKind::DP)
           DpFnPerSec = FnPerSec;
-        double OffRate = C.Warm.offlineHitRate();
-        if (Mixed && Kind == BackendKind::Hybrid &&
-            C.Warm.Label.OfflineHits > 0)
+        double OffRate =
+            C.Warm.NodesLabeled
+                ? static_cast<double>(C.Warm.OfflineHits) /
+                      static_cast<double>(C.Warm.NodesLabeled)
+                : 0.0;
+        if (Mixed && Kind == BackendKind::Hybrid && C.Warm.OfflineHits > 0)
           HybridHitTables = true;
         Table.addRow({backendName(Kind), std::to_string(Threads),
                       formatFixed(static_cast<double>(C.WarmNs) / 1e6, 1),
@@ -170,7 +173,7 @@ int main(int Argc, char **Argv) {
                     {"warm_fn_per_s", formatFixed(FnPerSec, 2)},
                     {"offline_hit_rate", formatFixed(OffRate, 4)},
                     {"offline_hits",
-                     std::to_string(C.Warm.Label.OfflineHits)},
+                     std::to_string(C.Warm.OfflineHits)},
                     {"identical", Identical ? "true" : "false"}});
       }
       Table.addSeparator();

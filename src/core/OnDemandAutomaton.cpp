@@ -10,8 +10,6 @@
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 using namespace odburg;
@@ -234,43 +232,4 @@ void OnDemandAutomaton::labelFunctionBatched(ir::IRFunction &F,
     B.Labels[I] = Id;
     B.Nodes[I]->setLabel(Id);
   }
-}
-
-void OnDemandAutomaton::labelFunctions(std::span<ir::IRFunction *const> Fns,
-                                       unsigned Threads,
-                                       SelectionStats *Stats) {
-  if (Threads == 0)
-    Threads = std::max(1u, std::thread::hardware_concurrency());
-  Threads = static_cast<unsigned>(
-      std::min<std::size_t>(Threads, Fns.size()));
-  if (Threads <= 1) {
-    for (ir::IRFunction *F : Fns)
-      labelFunction(*F, Stats);
-    return;
-  }
-
-  // Per-worker counters, cache-line padded so hot increments do not
-  // false-share; merged once at the end.
-  struct alignas(64) PaddedStats {
-    SelectionStats S;
-  };
-  std::vector<PaddedStats> PerWorker(Threads);
-  std::atomic<std::size_t> Next{0};
-  auto Work = [&](unsigned W) {
-    std::size_t I;
-    while ((I = Next.fetch_add(1, std::memory_order_relaxed)) < Fns.size())
-      labelFunction(*Fns[I], &PerWorker[W].S);
-  };
-
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads - 1);
-  for (unsigned W = 1; W < Threads; ++W)
-    Workers.emplace_back(Work, W);
-  Work(0);
-  for (std::thread &T : Workers)
-    T.join();
-
-  if (Stats)
-    for (const PaddedStats &P : PerWorker)
-      *Stats += P.S;
 }

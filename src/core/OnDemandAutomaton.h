@@ -39,7 +39,6 @@
 #include "support/Arena.h"
 #include "support/Statistic.h"
 
-#include <span>
 #include <utility>
 
 namespace odburg {
@@ -123,16 +122,6 @@ public:
   /// works on a distinct function: the state table and transition cache
   /// are sharded and thread-safe, and node labels are per-function.
   void labelFunction(ir::IRFunction &F, SelectionStats *Stats = nullptr);
-
-  /// Labels a corpus of functions concurrently against this one shared
-  /// automaton with \p Threads worker threads (0 = hardware concurrency).
-  /// Functions are handed out through an atomic index, so uneven function
-  /// sizes balance across workers. Labels/rules/costs are identical to a
-  /// serial pass; under concurrency the cold-pass *work counters* (probes,
-  /// states computed) can differ slightly between runs because racing
-  /// threads may both compute a state the cache dedups.
-  void labelFunctions(std::span<ir::IRFunction *const> Fns,
-                      unsigned Threads = 0, SelectionStats *Stats = nullptr);
 
   /// Labels one node (children must be labeled). Returns the state id and
   /// stores it in the node's label slot.

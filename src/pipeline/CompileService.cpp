@@ -44,6 +44,25 @@ void pipeline::compileFunctionWith(const Grammar &G, const DynCostTable *Dyn,
   Out.Instructions = Buf.Instructions;
 }
 
+std::string pipeline::concatAsm(const std::vector<CompileResult> &Results) {
+  std::size_t Bytes = 0;
+  for (const CompileResult &R : Results)
+    Bytes += R.Asm.size();
+  std::string Out;
+  Out.reserve(Bytes);
+  for (const CompileResult &R : Results)
+    Out += R.Asm;
+  return Out;
+}
+
+Cost pipeline::totalCost(const std::vector<CompileResult> &Results) {
+  Cost Total = Cost::zero();
+  for (const CompileResult &R : Results)
+    if (R.ok())
+      Total += R.Sel.TotalCost;
+  return Total;
+}
+
 static unsigned resolveWorkers(unsigned N) {
   if (N == 0)
     N = std::thread::hardware_concurrency();
@@ -356,4 +375,17 @@ void CompileService::resizeWorkers(unsigned Workers) {
   }
   joinWorkers();
   start(Workers);
+}
+
+Expected<std::vector<CompileResult>>
+pipeline::compileAll(CompileService &S, std::span<ir::IRFunction *const> Fns) {
+  Expected<std::vector<std::future<CompileResult>>> Futures =
+      S.submitBatch(Fns);
+  if (!Futures)
+    return Futures.takeError();
+  std::vector<CompileResult> Results;
+  Results.reserve(Futures->size());
+  for (std::future<CompileResult> &F : *Futures)
+    Results.push_back(F.get());
+  return Results;
 }

@@ -28,14 +28,15 @@
 ///     drains, stops the workers, and makes further submissions fail with
 ///     ErrorKind::ServiceShutdown.
 ///
-/// Determinism carries over from the batch pipeline unchanged: each
-/// function's compilation depends only on its own labels and virtual
-/// register numbering restarts per function, so concatenating results in
-/// submission order is byte-identical to CompileSession::compileFunctions
-/// on the same sequence — for any worker count, any backend.
+/// Output is deterministic: each function's compilation depends only on
+/// its own labels and virtual register numbering restarts per function,
+/// so concatenating results in submission order (concatAsm) is
+/// byte-identical to compiling the same sequence one function at a time
+/// with compileFunctionWith — for any worker count, any backend.
 ///
-/// CompileSession::compileFunctions is a thin compatibility wrapper over
-/// this class; new callers should target the service directly.
+/// The service is the pipeline's one compile entry point. A batch is
+/// "submit everything, then wait" (compileAll); the serial path is
+/// compileFunctionWith on the caller's thread against the same backend.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +86,13 @@ struct CompileResult {
   bool ok() const { return Diagnostic.empty(); }
 };
 
+/// The results' assembly in order (failed functions contribute nothing).
+/// Byte-identical for any worker count and any backend.
+std::string concatAsm(const std::vector<CompileResult> &Results);
+
+/// Summed cover cost of the successful results.
+Cost totalCost(const std::vector<CompileResult> &Results);
+
 /// Per-worker reusable compile state, cache-line separated across a pool.
 /// Owned by exactly one worker at a time; persistent for the owner's
 /// lifetime so the labeler scratch (DP tables, SoA node mirror) and the
@@ -95,8 +103,8 @@ struct alignas(64) WorkerState {
 };
 
 /// Compiles one function end-to-end — label, reduce, emit — against \p B
-/// using \p WS, on the calling thread. The shared primitive under the
-/// service workers and CompileSession's serial entry point.
+/// using \p WS, on the calling thread. What every service worker runs;
+/// callers that want no pool call it directly with their own scratch.
 void compileFunctionWith(const Grammar &G, const DynCostTable *Dyn,
                          LabelerBackend &B, ir::IRFunction &F, WorkerState &WS,
                          CompileResult &Out);
@@ -207,8 +215,8 @@ public:
          std::unique_ptr<LabelerBackend> Backend);
 
   /// Borrowed-backend service: \p B outlives the service and may also be
-  /// used by the owner (CompileSession's serial path labels on the caller
-  /// thread against the same backend). Workers start immediately.
+  /// used by the owner (compileFunctionWith on the caller's thread, or
+  /// another service sharing the backend). Workers start immediately.
   CompileService(const Grammar &G, const DynCostTable *Dyn, LabelerBackend &B,
                  Options Opts);
 
@@ -349,6 +357,12 @@ private:
   std::vector<std::unique_ptr<WorkerState>> Pool;
   std::vector<std::thread> Threads;
 };
+
+/// The batch call: submits \p Fns through \p S in order and waits for
+/// every result. Results are in span order; per-function failures stay in
+/// their CompileResult. Fails only with ErrorKind::ServiceShutdown.
+Expected<std::vector<CompileResult>>
+compileAll(CompileService &S, std::span<ir::IRFunction *const> Fns);
 
 } // namespace pipeline
 } // namespace odburg

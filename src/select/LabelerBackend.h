@@ -22,11 +22,11 @@
 ///     same scratch labels the next function, which is exactly the
 ///     label→reduce→emit lifetime of the compile pipeline.
 ///
-/// pipeline/CompileService (and its batch wrapper, CompileSession) owns
-/// one backend (Options::Backend) and is otherwise engine-agnostic;
-/// tools/odburg-run and tools/odburg-serve expose the choice as
-/// --backend so the paper's flexibility/speed/generation-cost trade-offs
-/// reproduce from one CLI — batch and streaming alike.
+/// pipeline/CompileService owns or borrows one backend (Options::Backend)
+/// and is otherwise engine-agnostic; tools/odburg-run and
+/// tools/odburg-serve expose the choice as --backend so the paper's
+/// flexibility/speed/generation-cost trade-offs reproduce from one CLI —
+/// batch and streaming alike.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -94,7 +94,7 @@ Expected<Selection> reduce(const Grammar &G, const ir::IRFunction &F,
                            const DynCostTable *Dyn = nullptr);
 
 /// As above, but reusing \p Scratch for the visited set and walk stack —
-/// the batch-pipeline overload (see pipeline/CompileSession).
+/// the overload each compile worker runs (see pipeline/CompileService).
 Expected<Selection> reduce(const Grammar &G, const ir::IRFunction &F,
                            const Labeling &L, const DynCostTable *Dyn,
                            ReductionScratch &Scratch);

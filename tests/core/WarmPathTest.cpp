@@ -6,8 +6,9 @@
 // outcomes) goes through one lock-free probe of the shared TransitionCache
 // and StateComputer runs on a miss; the hybrid backend's offline-partition
 // index sits in front of that probe. The warm path once also had a
-// per-worker L1 micro-cache and a dense-row tier. The contracts their
-// tests guarded still apply to what replaced them, so the two suites keep
+// per-worker L1 micro-cache and a dense-row tier, and the automaton once
+// had its own thread pool for labeling a corpus. The contracts their tests
+// guarded still apply to what replaced them, so the three suites keep
 // their names:
 //
 // - L1Cache: the hashed probe API every node goes through, and the
@@ -18,17 +19,23 @@
 //   under concurrency label bit-identically to a serial pass.
 // - DenseTier: key layout (binary keys are ordered, hook outcomes are part
 //   of the key), slot-array regrowth that retires and counts superseded
-//   arrays, the memory accounting that agrees from automaton to session,
+//   arrays, the memory accounting that agrees from automaton to backend,
 //   the state budget, and the offline-partition index: which operators it
 //   admits, and that labeling is identical with it and without it, cold
 //   and under racing workers.
+// - ParallelLabel: concurrent labeling as production runs it — N
+//   CompileService workers, each labeling through labelFunctionBatched with
+//   its own scratch, on one shared backend. The worker count is a pure
+//   throughput knob: rules and normalized costs per node are bit-identical
+//   to a serial pass, and the state table converges to the same set of
+//   states (hash consing is order-independent).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/OnDemandAutomaton.h"
 
 #include "grammar/GrammarParser.h"
-#include "pipeline/CompileSession.h"
+#include "pipeline/CompileService.h"
 #include "select/DPLabeler.h"
 #include "select/LabelerBackend.h"
 #include "select/Partition.h"
@@ -38,9 +45,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -50,13 +59,14 @@ using namespace odburg::workload;
 
 namespace {
 
-std::vector<ir::IRFunction> makeCorpus(const Grammar &G) {
+std::vector<ir::IRFunction> makeCorpus(const Grammar &G,
+                                       unsigned TargetNodes = 1200) {
   std::vector<ir::IRFunction> Corpus;
   for (const char *Name : {"gzip-like", "mcf-like", "art-like"}) {
     const Profile *P = findProfile(Name);
     EXPECT_NE(P, nullptr);
     std::vector<ir::IRFunction> Fns =
-        cantFail(generateBatch(*P, G, /*Count=*/4, /*TargetNodes=*/1200));
+        cantFail(generateBatch(*P, G, /*Count=*/4, TargetNodes));
     for (ir::IRFunction &F : Fns)
       Corpus.push_back(std::move(F));
   }
@@ -153,6 +163,39 @@ void expectNoRetiredTierCounters(const SelectionStats &S) {
   EXPECT_EQ(S.L1Hits, 0u);
   EXPECT_EQ(S.DenseProbes, 0u);
   EXPECT_EQ(S.DenseHits, 0u);
+}
+
+/// An on-demand backend over \p T's full grammar.
+std::unique_ptr<LabelerBackend> onDemandBackend(const Target &T) {
+  return cantFail(LabelerBackend::create(BackendKind::OnDemand, T.G, &T.Dyn));
+}
+
+const OnDemandAutomaton &automatonOf(const LabelerBackend &B) {
+  return static_cast<const OnDemandBackend &>(B).automaton();
+}
+
+/// Compiles \p Ptrs through \p Svc and returns the batch's summed
+/// labeling counters; every function must compile.
+SelectionStats compileBatch(pipeline::CompileService &Svc,
+                            std::span<ir::IRFunction *const> Ptrs) {
+  SelectionStats Sum;
+  for (const pipeline::CompileResult &R :
+       cantFail(pipeline::compileAll(Svc, Ptrs))) {
+    EXPECT_TRUE(R.ok()) << R.Diagnostic;
+    Sum += R.Stats;
+  }
+  return Sum;
+}
+
+/// One batch through a fresh \p Workers-worker service on the shared
+/// backend \p B.
+SelectionStats compileWithWorkers(const Target &T, LabelerBackend &B,
+                                  std::span<ir::IRFunction *const> Ptrs,
+                                  unsigned Workers) {
+  pipeline::CompileService::Options Opts;
+  Opts.Workers = Workers;
+  pipeline::CompileService Svc(T.G, &T.Dyn, B, std::move(Opts));
+  return compileBatch(Svc, Ptrs);
 }
 
 } // namespace
@@ -455,7 +498,7 @@ TEST(L1Cache, ScratchReboundAcrossAutomatonsStaysCorrect) {
 }
 
 TEST(L1Cache, PerWorkerL1sUnderConcurrencyBitIdentical) {
-  // Four workers, each with a private LabelBatch (as CompileSession's
+  // Four workers, each with a private LabelBatch (as CompileService's
   // workers hold one in their LabelerScratch), share one automaton. All
   // shared-cache traffic goes through the seqlock; the labeling must be
   // bit-identical to a serial pass, and every node is one probe.
@@ -498,33 +541,35 @@ TEST(L1Cache, PerWorkerL1sUnderConcurrencyBitIdentical) {
 
 TEST(DenseTier, AutomatonAndSessionMemoryAccountDenseRows) {
   // The automaton's footprint covers its state table and cache, never
-  // shrinks while it learns, and stops growing once warm. A session's
-  // BackendBytes is a snapshot of that number, not a sum: accumulating
-  // several batches into one stats object reports the last footprint.
+  // shrinks while it learns, and stops growing once warm. The backend a
+  // compile service runs on reports exactly that footprint, a snapshot
+  // where the service's labeling counters are sums.
   auto T = cantFail(makeTarget("x86"));
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->G);
   std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
 
-  pipeline::CompileSession Session(*T);
-  const OnDemandAutomaton &A = Session.automaton();
+  std::unique_ptr<LabelerBackend> B = onDemandBackend(*T);
+  const OnDemandAutomaton &A = automatonOf(*B);
   std::size_t Empty = A.memoryBytes();
   EXPECT_GE(Empty, A.stateTable().memoryBytes());
+  EXPECT_EQ(B->memoryBytes(), Empty);
 
-  pipeline::SessionStats Cold, Warm1, Warm2, Accumulated;
-  Session.compileFunctions(Ptrs, 2, &Cold);
-  Session.compileFunctions(Ptrs, 2, &Warm1);
-  Session.compileFunctions(Ptrs, 2, &Warm2);
-  EXPECT_GT(Cold.BackendBytes, Empty);
+  pipeline::CompileService::Options Opts;
+  Opts.Workers = 2;
+  pipeline::CompileService Svc(T->G, &T->Dyn, *B, std::move(Opts));
+  compileBatch(Svc, Ptrs);
+  std::size_t Cold = Svc.backend().memoryBytes();
+  SelectionStats Warm1 = compileBatch(Svc, Ptrs);
+  std::size_t AfterWarm1 = Svc.backend().memoryBytes();
+  compileBatch(Svc, Ptrs);
+  std::size_t AfterWarm2 = Svc.backend().memoryBytes();
+  EXPECT_GT(Cold, Empty);
   EXPECT_GT(A.memoryBytes(), A.stateTable().memoryBytes());
-  EXPECT_EQ(Warm1.Label.StatesComputed, 0u);
-  EXPECT_EQ(Warm1.BackendBytes, Cold.BackendBytes);
-  EXPECT_EQ(Warm2.BackendBytes, Warm1.BackendBytes);
-  EXPECT_EQ(Warm2.BackendBytes, A.memoryBytes());
-
-  Session.compileFunctions(Ptrs, 2, &Accumulated);
-  Session.compileFunctions(Ptrs, 2, &Accumulated);
-  EXPECT_EQ(Accumulated.BackendBytes, A.memoryBytes());
-  EXPECT_EQ(Accumulated.Label.NodesLabeled, 2 * Warm1.Label.NodesLabeled);
+  EXPECT_EQ(Warm1.StatesComputed, 0u);
+  EXPECT_EQ(AfterWarm1, Cold);
+  EXPECT_EQ(AfterWarm2, AfterWarm1);
+  EXPECT_EQ(AfterWarm2, A.memoryBytes());
+  EXPECT_EQ(Svc.statsSnapshot().Label.NodesLabeled, 3 * Warm1.NodesLabeled);
 }
 
 TEST(DenseTier, BinaryRowsAreKeyedByLeftState) {
@@ -773,4 +818,113 @@ TEST(DenseTier, RegrowthRetiresOldArraysAndKeepsEntries) {
   // Live + retired: the 128- and 256-slot arrays on top of the seed one.
   EXPECT_GE(C.memoryBytes(), Empty + (128 + 256) * SlotBytes);
   EXPECT_EQ(C.size(), Keys.size());
+}
+
+//===----------------------------------------------------------------------===//
+// Concurrent labeling: CompileService workers on one shared backend
+//===----------------------------------------------------------------------===//
+
+TEST(ParallelLabel, FourThreadsBitIdenticalToSerial) {
+  auto T = cantFail(makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->G, 1500);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::unique_ptr<LabelerBackend> Serial = onDemandBackend(*T);
+  SelectionStats SerialStats = compileWithWorkers(*T, *Serial, Ptrs, 1);
+  Snapshot Ref = snapshot(T->G, Corpus, automatonOf(*Serial));
+
+  std::unique_ptr<LabelerBackend> Parallel = onDemandBackend(*T);
+  SelectionStats ParStats = compileWithWorkers(*T, *Parallel, Ptrs, 4);
+  Snapshot Got = snapshot(T->G, Corpus, automatonOf(*Parallel));
+
+  EXPECT_EQ(Ref, Got);
+  // Same corpus, same content-addressed states: the tables converge to the
+  // same size regardless of interleaving.
+  EXPECT_EQ(automatonOf(*Serial).numStates(),
+            automatonOf(*Parallel).numStates());
+  EXPECT_EQ(automatonOf(*Serial).numTransitions(),
+            automatonOf(*Parallel).numTransitions());
+  EXPECT_EQ(SerialStats.NodesLabeled, ParStats.NodesLabeled);
+}
+
+TEST(ParallelLabel, MatchesDPLabelerPerFunction) {
+  auto T = cantFail(makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->G, 1500);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  // DP references first: DPLabeling owns its table (indexed by node id),
+  // so the automaton relabeling the nodes afterwards does not disturb it.
+  std::vector<DPLabeling> Refs;
+  for (ir::IRFunction &F : Corpus)
+    Refs.push_back(DPLabeler(T->G, &T->Dyn).label(F));
+
+  std::unique_ptr<LabelerBackend> B = onDemandBackend(*T);
+  compileWithWorkers(*T, *B, Ptrs, 4);
+  for (std::size_t I = 0; I < Corpus.size(); ++I)
+    test::expectEquivalent(T->G, Corpus[I], Refs[I], automatonOf(*B));
+}
+
+TEST(ParallelLabel, WarmSecondPassIsAllHitsUnderThreads) {
+  auto T = cantFail(makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->G, 1500);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::unique_ptr<LabelerBackend> B = onDemandBackend(*T);
+  const OnDemandAutomaton &A = automatonOf(*B);
+  pipeline::CompileService::Options Opts;
+  Opts.Workers = 4;
+  pipeline::CompileService Svc(T->G, &T->Dyn, *B, std::move(Opts));
+  compileBatch(Svc, Ptrs);
+  unsigned ColdStates = A.numStates();
+  std::size_t ColdTransitions = A.numTransitions();
+
+  SelectionStats Warm = compileBatch(Svc, Ptrs);
+  EXPECT_EQ(A.numStates(), ColdStates);
+  EXPECT_EQ(A.numTransitions(), ColdTransitions);
+  EXPECT_EQ(Warm.StatesComputed, 0u);
+  EXPECT_EQ(Warm.CacheHits, Warm.CacheProbes);
+}
+
+TEST(ParallelLabel, ManySmallFunctionsStress) {
+  // Lots of tiny functions maximize hand-out churn and shard contention;
+  // eight workers on the shared automaton must still converge to the same
+  // state set as a serial pass.
+  auto T = cantFail(makeTarget("vm64"));
+  const Profile *P = findProfile("gzip-like");
+  ASSERT_NE(P, nullptr);
+  std::vector<ir::IRFunction> Corpus =
+      cantFail(generateBatch(*P, T->G, /*Count=*/64, /*TargetNodes=*/120));
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::unique_ptr<LabelerBackend> Serial = onDemandBackend(*T);
+  compileWithWorkers(*T, *Serial, Ptrs, 1);
+  Snapshot Ref = snapshot(T->G, Corpus, automatonOf(*Serial));
+
+  std::unique_ptr<LabelerBackend> Parallel = onDemandBackend(*T);
+  compileWithWorkers(*T, *Parallel, Ptrs, 8);
+  EXPECT_EQ(Ref, snapshot(T->G, Corpus, automatonOf(*Parallel)));
+  EXPECT_EQ(automatonOf(*Serial).numStates(),
+            automatonOf(*Parallel).numStates());
+}
+
+TEST(ParallelLabel, ZeroThreadsAutoSelectsAndLabelsWholeCorpus) {
+  // Workers = 0 resolves to the hardware concurrency (at least one), and
+  // the auto-selected pool labels the whole corpus.
+  auto T = cantFail(makeTarget("mips"));
+  const Profile *P = findProfile("art-like");
+  ASSERT_NE(P, nullptr);
+  std::vector<ir::IRFunction> Corpus =
+      cantFail(generateBatch(*P, T->G, /*Count=*/3, /*TargetNodes=*/400));
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::unique_ptr<LabelerBackend> B = onDemandBackend(*T);
+  pipeline::CompileService::Options Opts;
+  Opts.Workers = 0;
+  pipeline::CompileService Svc(T->G, &T->Dyn, *B, std::move(Opts));
+  EXPECT_EQ(Svc.workers(), std::max(1u, std::thread::hardware_concurrency()));
+  SelectionStats Stats = compileBatch(Svc, Ptrs);
+  std::uint64_t Total = 0;
+  for (const ir::IRFunction &F : Corpus)
+    Total += F.size();
+  EXPECT_EQ(Stats.NodesLabeled, Total);
 }

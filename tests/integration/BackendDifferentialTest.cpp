@@ -4,7 +4,7 @@
 //
 // The paper's equivalence claim as a product guarantee: for every built-in
 // target's static-cost grammar, compiling the shared synthetic corpus
-// through a CompileSession on each labeling backend — DP, offline tables,
+// through a CompileService on each labeling backend — DP, offline tables,
 // on-demand automaton, and the hybrid (offline tables on the static
 // partition fronting the automaton) — yields identical selected rules,
 // identical total cover cost, and byte-identical assembly. The backends
@@ -17,7 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "pipeline/CompileSession.h"
+#include "pipeline/CompileService.h"
 
 #include "grammar/Synthesize.h"
 #include "targets/Target.h"
@@ -86,20 +86,20 @@ TEST_P(BackendDifferential, AllBackendsEmitIdenticalCode) {
   bool HaveRef = false;
   for (BackendKind Kind : {BackendKind::DP, BackendKind::Offline,
                            BackendKind::OnDemand, BackendKind::Hybrid}) {
-    CompileSession::Options Opts;
+    CompileService::Options Opts;
     Opts.Backend = Kind;
-    auto Session = CompileSession::create(T->Fixed, nullptr, Opts);
-    ASSERT_TRUE(static_cast<bool>(Session))
-        << backendName(Kind) << ": " << Session.message();
-    // Two thread counts per backend: the equivalence must hold serial and
+    auto Svc = CompileService::create(T->Fixed, nullptr, std::move(Opts));
+    ASSERT_TRUE(static_cast<bool>(Svc))
+        << backendName(Kind) << ": " << Svc.message();
+    // Two worker counts per backend: the equivalence must hold serial and
     // concurrent alike.
     for (unsigned Threads : {1u, 4u}) {
-      std::vector<CompileResult> Results =
-          (*Session)->compileFunctions(Ptrs, Threads);
+      (*Svc)->resizeWorkers(Threads);
+      std::vector<CompileResult> Results = cantFail(compileAll(**Svc, Ptrs));
       for (const CompileResult &R : Results)
         ASSERT_TRUE(R.ok()) << backendName(Kind) << ": " << R.Diagnostic;
-      std::string Asm = CompileSession::concatAsm(Results);
-      Cost Total = CompileSession::totalCost(Results);
+      std::string Asm = concatAsm(Results);
+      Cost Total = totalCost(Results);
       auto Sel = selections(Results);
       if (!HaveRef) {
         HaveRef = true;
@@ -135,21 +135,21 @@ TEST_P(BackendDifferential, HybridMatchesDPOnDynamicCostGrammars) {
   bool HaveRef = false;
   for (BackendKind Kind :
        {BackendKind::DP, BackendKind::OnDemand, BackendKind::Hybrid}) {
-    CompileSession::Options Opts;
+    CompileService::Options Opts;
     Opts.Backend = Kind;
-    auto Session = CompileSession::create(T->G, &T->Dyn, Opts);
-    ASSERT_TRUE(static_cast<bool>(Session))
-        << backendName(Kind) << ": " << Session.message();
+    auto Svc = CompileService::create(T->G, &T->Dyn, std::move(Opts));
+    ASSERT_TRUE(static_cast<bool>(Svc))
+        << backendName(Kind) << ": " << Svc.message();
     std::uint64_t OfflineHits = 0;
     for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-      SessionStats Stats;
-      std::vector<CompileResult> Results =
-          (*Session)->compileFunctions(Ptrs, Threads, &Stats);
-      OfflineHits += Stats.Label.OfflineHits;
-      for (const CompileResult &R : Results)
+      (*Svc)->resizeWorkers(Threads);
+      std::vector<CompileResult> Results = cantFail(compileAll(**Svc, Ptrs));
+      for (const CompileResult &R : Results) {
         ASSERT_TRUE(R.ok()) << backendName(Kind) << ": " << R.Diagnostic;
-      std::string Asm = CompileSession::concatAsm(Results);
-      Cost Total = CompileSession::totalCost(Results);
+        OfflineHits += R.Stats.OfflineHits;
+      }
+      std::string Asm = concatAsm(Results);
+      Cost Total = totalCost(Results);
       auto Sel = selections(Results);
       if (!HaveRef) {
         HaveRef = true;
@@ -201,26 +201,28 @@ TEST(BackendDifferentialSynth, LargeGrammarIdenticalAtFourWorkers) {
       F.addRoot(synthesizeTree(G, F, Rand, /*Budget=*/500));
   std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
 
-  CompileSession::Options DPOpts;
+  CompileService::Options DPOpts;
   DPOpts.Backend = BackendKind::DP;
-  CompileSession DP(G, nullptr, DPOpts);
-  std::vector<CompileResult> Ref = DP.compileFunctions(Ptrs, 1);
+  DPOpts.Workers = 1;
+  std::vector<CompileResult> Ref = cantFail(
+      compileAll(*cantFail(CompileService::create(G, nullptr, DPOpts)), Ptrs));
   for (const CompileResult &R : Ref)
     ASSERT_TRUE(R.ok()) << R.Diagnostic;
   auto RefSel = selections(Ref);
-  Cost RefCost = CompileSession::totalCost(Ref);
+  Cost RefCost = totalCost(Ref);
 
   for (unsigned Threads : {1u, 4u}) {
-    CompileSession OnDemand(G);
+    CompileService::Options Opts;
+    Opts.Workers = Threads;
+    auto OnDemand = cantFail(CompileService::create(G, nullptr, Opts));
     for (const char *Pass : {"cold", "warm"}) {
-      SessionStats Stats;
       std::vector<CompileResult> Results =
-          OnDemand.compileFunctions(Ptrs, Threads, &Stats);
-      EXPECT_EQ(Stats.Failed, 0u);
+          cantFail(compileAll(*OnDemand, Ptrs));
+      for (const CompileResult &R : Results)
+        EXPECT_TRUE(R.ok()) << R.Diagnostic;
       EXPECT_EQ(selections(Results), RefSel) << Pass << " x" << Threads;
-      EXPECT_EQ(CompileSession::totalCost(Results), RefCost)
-          << Pass << " x" << Threads;
+      EXPECT_EQ(totalCost(Results), RefCost) << Pass << " x" << Threads;
     }
-    EXPECT_GT(OnDemand.automaton().numStates(), 1000u);
+    EXPECT_GT(OnDemand->backend().numStates(), 1000u);
   }
 }

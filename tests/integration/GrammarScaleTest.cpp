@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "grammar/Synthesize.h"
-#include "pipeline/CompileSession.h"
+#include "pipeline/CompileService.h"
 #include "support/RNG.h"
 #include "workload/Synthetic.h"
 
@@ -63,6 +63,17 @@ selectionRows(const std::vector<CompileResult> &Results) {
   return Rows;
 }
 
+std::unique_ptr<CompileService> makeService(const Grammar &G,
+                                            unsigned Workers) {
+  CompileService::Options Opts;
+  Opts.Workers = Workers;
+  return cantFail(CompileService::create(G, nullptr, std::move(Opts)));
+}
+
+const OnDemandAutomaton &automatonOf(const CompileService &Svc) {
+  return static_cast<const OnDemandBackend &>(Svc.backend()).automaton();
+}
+
 } // namespace
 
 TEST(GrammarScale, TenXOperatorGrammarCompilesThreadInvariant) {
@@ -74,9 +85,9 @@ TEST(GrammarScale, TenXOperatorGrammarCompilesThreadInvariant) {
     Ptrs.push_back(&F);
 
   // Serial reference.
-  CompileSession Ref(G);
-  std::vector<CompileResult> RefResults = Ref.compileFunctions(Ptrs, 1);
-  Cost RefCost = CompileSession::totalCost(RefResults);
+  std::unique_ptr<CompileService> Ref = makeService(G, 1);
+  std::vector<CompileResult> RefResults = cantFail(compileAll(*Ref, Ptrs));
+  Cost RefCost = totalCost(RefResults);
   for (const CompileResult &R : RefResults)
     ASSERT_TRUE(R.ok()) << R.Diagnostic;
   auto RefRows = selectionRows(RefResults);
@@ -84,26 +95,27 @@ TEST(GrammarScale, TenXOperatorGrammarCompilesThreadInvariant) {
   // The synthesized operator diversity must actually exercise the sharded
   // tables: hundreds of states and transitions, not the handful the
   // hand-written targets produce.
-  EXPECT_GT(Ref.automaton().numStates(), 250u);
-  EXPECT_GT(Ref.automaton().numTransitions(), 1000u);
+  EXPECT_GT(automatonOf(*Ref).numStates(), 250u);
+  EXPECT_GT(automatonOf(*Ref).numTransitions(), 1000u);
 
   for (unsigned Threads : {2u, 4u, 8u}) {
-    CompileSession Session(G);
-    SessionStats Cold;
-    std::vector<CompileResult> Results =
-        Session.compileFunctions(Ptrs, Threads, &Cold);
-    EXPECT_EQ(Cold.Failed, 0u);
+    std::unique_ptr<CompileService> Svc = makeService(G, Threads);
+    std::vector<CompileResult> Results = cantFail(compileAll(*Svc, Ptrs));
+    for (const CompileResult &R : Results)
+      EXPECT_TRUE(R.ok()) << R.Diagnostic;
     EXPECT_EQ(selectionRows(Results), RefRows);
-    EXPECT_EQ(CompileSession::totalCost(Results), RefCost);
+    EXPECT_EQ(totalCost(Results), RefCost);
     // Content-addressed states: the table converges to the same automaton
     // regardless of interleaving.
-    EXPECT_EQ(Session.automaton().numStates(), Ref.automaton().numStates());
+    EXPECT_EQ(automatonOf(*Svc).numStates(), automatonOf(*Ref).numStates());
 
     // Warm pass: no new states, all hits, same output.
-    SessionStats Warm;
-    Results = Session.compileFunctions(Ptrs, Threads, &Warm);
-    EXPECT_EQ(Warm.Label.StatesComputed, 0u);
-    EXPECT_EQ(Warm.Label.CacheHits, Warm.Label.CacheProbes);
+    Results = cantFail(compileAll(*Svc, Ptrs));
+    SelectionStats Warm;
+    for (const CompileResult &R : Results)
+      Warm += R.Stats;
+    EXPECT_EQ(Warm.StatesComputed, 0u);
+    EXPECT_EQ(Warm.CacheHits, Warm.CacheProbes);
     EXPECT_EQ(selectionRows(Results), RefRows);
   }
 }

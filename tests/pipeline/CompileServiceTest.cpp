@@ -9,15 +9,23 @@
 // ordered callback already fired; the undelivered-submission count never
 // exceeds the configured queue bound; drain() leaves the service usable;
 // submissions after shutdown() fail with ErrorKind::ServiceShutdown; the
-// streamed concatenation is byte-identical to the batch wrapper's output
-// on every backend; and the whole submission surface survives contention
-// from many producer threads (the TSan job runs this binary).
+// streamed concatenation is byte-identical to a serial compile on every
+// backend; and the whole submission surface survives contention from many
+// producer threads (the TSan job runs this binary).
+//
+// The CompileSession suite below keeps the contracts of the batch wrapper
+// the service replaced, stated against compileAll and compileFunctionWith:
+// a batch equals the one-off label/reduce/emit calls; assembly and cost
+// are identical for any worker count and backend; per-function failures
+// do not poison a batch; and the shared backend stays warm across batches.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/CompileService.h"
 
-#include "pipeline/CompileSession.h"
+#include "grammar/GrammarParser.h"
+#include "select/DPLabeler.h"
+#include "support/SmallVector.h"
 #include "targets/Target.h"
 #include "workload/Synthetic.h"
 
@@ -48,6 +56,39 @@ std::vector<ir::IRFunction *> pointers(std::vector<ir::IRFunction> &Fns) {
   for (ir::IRFunction &F : Fns)
     Ptrs.push_back(&F);
   return Ptrs;
+}
+
+/// The serial reference: every function of \p Fns compiled in order on
+/// this thread, with compileFunctionWith against one fresh backend.
+std::vector<CompileResult>
+compileSerially(const Grammar &G, const DynCostTable *Dyn,
+                std::vector<ir::IRFunction> &Fns,
+                BackendKind Kind = BackendKind::OnDemand) {
+  std::unique_ptr<LabelerBackend> B =
+      cantFail(LabelerBackend::create(Kind, G, Dyn));
+  WorkerState WS;
+  std::vector<CompileResult> Results(Fns.size());
+  for (std::size_t I = 0; I < Fns.size(); ++I)
+    compileFunctionWith(G, Dyn, *B, Fns[I], WS, Results[I]);
+  return Results;
+}
+
+/// A service over \p G with \p Workers workers on a backend of \p Kind.
+std::unique_ptr<CompileService>
+makeService(const Grammar &G, const DynCostTable *Dyn, unsigned Workers,
+            BackendKind Kind = BackendKind::OnDemand) {
+  CompileService::Options Opts;
+  Opts.Backend = Kind;
+  Opts.Workers = Workers;
+  return cantFail(CompileService::create(G, Dyn, std::move(Opts)));
+}
+
+/// Labeling counters summed over \p Results.
+SelectionStats labelStats(const std::vector<CompileResult> &Results) {
+  SelectionStats S;
+  for (const CompileResult &R : Results)
+    S += R.Stats;
+  return S;
 }
 
 } // namespace
@@ -96,12 +137,8 @@ TEST(CompileService, StreamsInOrderBeforeInputIsExhausted) {
   // delivered while the input sequence was still being submitted.
   EXPECT_LT(SubmittedAtDelivery.front(), N);
 
-  // Byte-identity with the batch wrapper over the same sequence.
-  CompileSession Session(*T);
-  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
-  std::string BatchAsm =
-      CompileSession::concatAsm(Session.compileFunctions(Ptrs, 2));
-  EXPECT_EQ(Streamed, BatchAsm);
+  // Byte-identity with a serial compile of the same sequence.
+  EXPECT_EQ(Streamed, concatAsm(compileSerially(T->G, &T->Dyn, Corpus)));
 }
 
 TEST(CompileService, FuturesCompleteOnlyAfterTheirOrderedCallback) {
@@ -226,15 +263,13 @@ TEST(CompileService, SubmitAfterShutdownFailsWithTypedError) {
 TEST(CompileService, StreamedOutputIsByteIdenticalAcrossBackends) {
   // The acceptance criterion as a unit test: the same fixed-cost sequence
   // streamed through all three backends yields one identical byte stream,
-  // which also equals the batch wrapper's concatenation.
+  // which also equals a serial compile's concatenation.
   auto T = cantFail(makeTarget("x86"));
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 10, 400);
   std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
 
-  CompileSession::Options BatchOpts;
-  CompileSession BatchSession(T->Fixed, nullptr, BatchOpts);
   std::string Reference =
-      CompileSession::concatAsm(BatchSession.compileFunctions(Ptrs, 2));
+      concatAsm(compileSerially(T->Fixed, nullptr, Corpus));
   ASSERT_FALSE(Reference.empty());
 
   for (BackendKind Kind :
@@ -438,14 +473,11 @@ TEST(CompileService, BoundedQueueSurvivesManyProducers) {
   for (unsigned P = 0; P < Producers; ++P)
     Corpora.push_back(makeCorpus(T->G, PerProducer, 200 + 100 * P));
 
-  // Serial reference: one session, one function at a time.
+  // Serial reference: one function at a time on this thread.
   std::vector<std::vector<std::string>> Reference(Producers);
-  {
-    CompileSession Session(*T);
-    for (unsigned P = 0; P < Producers; ++P)
-      for (ir::IRFunction &F : Corpora[P])
-        Reference[P].push_back(Session.compileFunction(F).Asm);
-  }
+  for (unsigned P = 0; P < Producers; ++P)
+    for (const CompileResult &R : compileSerially(T->G, &T->Dyn, Corpora[P]))
+      Reference[P].push_back(R.Asm);
 
   std::atomic<std::size_t> NextExpected{0};
   std::atomic<bool> OrderViolated{false};
@@ -701,5 +733,304 @@ TEST(CompileService, TaggedSinkRoutesEverySubmissionInOrder) {
       EXPECT_FALSE(Seen[Seq]);
       Seen[Seq] = true;
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Batch contracts: compileAll and compileFunctionWith
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A mixed corpus: three profiles with different operator mixes.
+std::vector<ir::IRFunction> makeMixedCorpus(const Grammar &G) {
+  std::vector<ir::IRFunction> Corpus;
+  for (const char *Name : {"gzip-like", "mcf-like", "art-like"}) {
+    const Profile *P = findProfile(Name);
+    EXPECT_NE(P, nullptr);
+    std::vector<ir::IRFunction> Fns =
+        cantFail(generateBatch(*P, G, /*Count=*/4, /*TargetNodes=*/1200));
+    for (ir::IRFunction &F : Fns)
+      Corpus.push_back(std::move(F));
+  }
+  return Corpus;
+}
+
+} // namespace
+
+TEST(CompileSession, MatchesOneOffPipelinePerFunction) {
+  // A service batch must reproduce exactly what the ad-hoc DP pipeline
+  // produces (PipelineTest establishes DP == automaton; this establishes
+  // batch == one-off, including the buffer-backed emit path).
+  auto T = cantFail(makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeMixedCorpus(T->G);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::vector<CompileResult> Results =
+      cantFail(compileAll(*makeService(T->G, &T->Dyn, 1), Ptrs));
+  ASSERT_EQ(Results.size(), Corpus.size());
+
+  for (std::size_t I = 0; I < Corpus.size(); ++I) {
+    ASSERT_TRUE(Results[I].ok()) << Results[I].Diagnostic;
+    DPLabeling Ref = DPLabeler(T->G, &T->Dyn).label(Corpus[I]);
+    Selection SRef = cantFail(reduce(T->G, Corpus[I], Ref, &T->Dyn));
+    AsmBuffer AsmRef;
+    cantFail(emitAsm(T->G, Corpus[I], SRef, AsmRef));
+    EXPECT_EQ(Results[I].Asm, AsmRef.Text);
+    EXPECT_EQ(Results[I].Instructions, AsmRef.Instructions);
+    EXPECT_EQ(Results[I].Sel.TotalCost, SRef.TotalCost);
+  }
+}
+
+TEST(CompileSession, AssemblyAndCostInvariantUnderThreadCount) {
+  auto T = cantFail(makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeMixedCorpus(T->G);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::string RefAsm;
+  Cost RefCost = Cost::zero();
+  for (unsigned Workers : {1u, 2u, 4u, 8u}) {
+    std::vector<CompileResult> Results =
+        cantFail(compileAll(*makeService(T->G, &T->Dyn, Workers), Ptrs));
+    for (const CompileResult &R : Results)
+      ASSERT_TRUE(R.ok()) << R.Diagnostic;
+    std::string Asm = concatAsm(Results);
+    Cost Total = totalCost(Results);
+    EXPECT_FALSE(Asm.empty());
+    if (Workers == 1) {
+      RefAsm = std::move(Asm);
+      RefCost = Total;
+    } else {
+      EXPECT_EQ(Asm, RefAsm) << Workers
+                             << " workers diverged from serial assembly";
+      EXPECT_EQ(Total, RefCost);
+    }
+  }
+}
+
+TEST(CompileSession, WarmSecondBatchComputesNoStates) {
+  auto T = cantFail(makeTarget("vm64"));
+  std::vector<ir::IRFunction> Corpus = makeMixedCorpus(T->G);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::unique_ptr<CompileService> Svc = makeService(T->G, &T->Dyn, 4);
+  std::vector<CompileResult> First = cantFail(compileAll(*Svc, Ptrs));
+  ASSERT_EQ(First.size(), Corpus.size());
+  for (const CompileResult &R : First)
+    ASSERT_TRUE(R.ok()) << R.Diagnostic;
+  SelectionStats Cold = labelStats(First);
+  EXPECT_GT(Cold.StatesComputed, 0u);
+  // The service's lifetime counters are the per-result sums.
+  EXPECT_EQ(Svc->statsSnapshot().Label.StatesComputed, Cold.StatesComputed);
+  EXPECT_EQ(Svc->statsSnapshot().Label.NodesLabeled, Cold.NodesLabeled);
+
+  std::vector<CompileResult> Second = cantFail(compileAll(*Svc, Ptrs));
+  SelectionStats Warm = labelStats(Second);
+  EXPECT_EQ(Warm.StatesComputed, 0u);
+  EXPECT_EQ(Warm.CacheHits, Warm.CacheProbes);
+  EXPECT_EQ(Svc->statsSnapshot().Label.StatesComputed, Cold.StatesComputed);
+  // Warm output is identical to cold output.
+  EXPECT_EQ(concatAsm(First), concatAsm(Second));
+  EXPECT_EQ(totalCost(First), totalCost(Second));
+  for (std::size_t I = 0; I < First.size(); ++I)
+    EXPECT_EQ(First[I].Instructions, Second[I].Instructions);
+}
+
+TEST(CompileSession, SerialEntryPointMatchesBatch) {
+  // compileFunctionWith on the caller's thread is what every service
+  // worker runs; called directly, one function at a time, it must give
+  // the service's bytes and costs.
+  auto T = cantFail(makeTarget("mips"));
+  std::vector<ir::IRFunction> Corpus = makeMixedCorpus(T->G);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::vector<CompileResult> Results =
+      cantFail(compileAll(*makeService(T->G, &T->Dyn, 2), Ptrs));
+
+  std::vector<CompileResult> OneByOne =
+      compileSerially(T->G, &T->Dyn, Corpus);
+  ASSERT_EQ(OneByOne.size(), Results.size());
+  for (std::size_t I = 0; I < Corpus.size(); ++I) {
+    ASSERT_TRUE(OneByOne[I].ok()) << OneByOne[I].Diagnostic;
+    EXPECT_EQ(OneByOne[I].Asm, Results[I].Asm);
+    EXPECT_EQ(OneByOne[I].Sel.TotalCost, Results[I].Sel.TotalCost);
+  }
+}
+
+TEST(CompileSession, BackendOptionSelectsEngineAndPreservesOutput) {
+  // The same fixed-cost corpus through all three Options::Backend values:
+  // identical assembly and cost, correct backend plumbed, engine-typical
+  // stats (DP checks rules, offline only indexes, on-demand probes).
+  auto T = cantFail(makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeMixedCorpus(T->Fixed);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::string RefAsm;
+  Cost RefCost = Cost::zero();
+  bool HaveRef = false;
+  for (BackendKind Kind :
+       {BackendKind::DP, BackendKind::Offline, BackendKind::OnDemand}) {
+    CompileService::Options Opts;
+    Opts.Backend = Kind;
+    Opts.Workers = 2;
+    auto Svc = CompileService::create(T->Fixed, nullptr, std::move(Opts));
+    ASSERT_TRUE(static_cast<bool>(Svc)) << Svc.message();
+    EXPECT_EQ((*Svc)->backend().kind(), Kind);
+
+    std::vector<CompileResult> Results = cantFail(compileAll(**Svc, Ptrs));
+    for (const CompileResult &R : Results)
+      ASSERT_TRUE(R.ok()) << R.Diagnostic;
+    std::string Asm = concatAsm(Results);
+    Cost Total = totalCost(Results);
+    if (!HaveRef) {
+      HaveRef = true;
+      RefAsm = std::move(Asm);
+      RefCost = Total;
+    } else {
+      EXPECT_EQ(Asm, RefAsm) << backendName(Kind);
+      EXPECT_EQ(Total, RefCost) << backendName(Kind);
+    }
+
+    SelectionStats Stats = (*Svc)->statsSnapshot().Label;
+    switch (Kind) {
+    case BackendKind::DP:
+      EXPECT_GT(Stats.RuleChecks, 0u);
+      EXPECT_EQ(Stats.TableLookups, 0u);
+      break;
+    case BackendKind::Offline:
+      EXPECT_GT(Stats.TableLookups, 0u);
+      EXPECT_EQ(Stats.CacheProbes, 0u);
+      break;
+    case BackendKind::OnDemand:
+      EXPECT_GT(Stats.CacheProbes, 0u);
+      break;
+    case BackendKind::Hybrid: // Not in this loop.
+      break;
+    }
+  }
+}
+
+TEST(CompileSession, CreateReportsTypedErrorForOfflineDynamicCosts) {
+  auto T = cantFail(makeTarget("x86"));
+  CompileService::Options Opts;
+  Opts.Backend = BackendKind::Offline;
+  auto Svc = CompileService::create(T->G, &T->Dyn, std::move(Opts));
+  ASSERT_FALSE(static_cast<bool>(Svc));
+  EXPECT_EQ(Svc.kind(), ErrorKind::UnsupportedDynamicCosts);
+}
+
+TEST(CompileSession, L1HitRateSurfacesInSessionStats) {
+  // The per-worker L1 is gone; a batch's hit accounting is the shared
+  // cache's and the hybrid's offline index's. A warm batch over two
+  // workers resolves every probe from the cache, each node is counted
+  // exactly once, and the offline share surfaces in the service's
+  // offlineHitRate().
+  auto T = cantFail(makeTarget("vm64"));
+  std::vector<ir::IRFunction> Corpus = makeMixedCorpus(T->G);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  for (BackendKind K : {BackendKind::OnDemand, BackendKind::Hybrid}) {
+    std::unique_ptr<CompileService> Svc = makeService(T->G, &T->Dyn, 2, K);
+    SelectionStats Cold = labelStats(cantFail(compileAll(*Svc, Ptrs)));
+    SelectionStats Warm = labelStats(cantFail(compileAll(*Svc, Ptrs)));
+    EXPECT_GT(Warm.NodesLabeled, 0u) << backendName(K);
+    EXPECT_EQ(Warm.CacheProbes, Warm.NodesLabeled - Warm.OfflineHits)
+        << backendName(K);
+    EXPECT_EQ(Warm.CacheHits, Warm.CacheProbes) << backendName(K);
+    EXPECT_EQ(Warm.StatesComputed, 0u) << backendName(K);
+    EXPECT_EQ(Warm.L1Probes + Warm.DenseProbes, 0u) << backendName(K);
+
+    ServiceStats Life = Svc->statsSnapshot();
+    EXPECT_EQ(Life.Label.NodesLabeled, Cold.NodesLabeled + Warm.NodesLabeled)
+        << backendName(K);
+    EXPECT_EQ(Life.Label.OfflineHits, Cold.OfflineHits + Warm.OfflineHits)
+        << backendName(K);
+    EXPECT_GT(Life.cacheHitRate(), 0.0) << backendName(K);
+    if (K == BackendKind::Hybrid) {
+      EXPECT_GT(Life.offlineHitRate(), 0.0);
+      EXPECT_LT(Life.offlineHitRate(), 1.0); // Dyn-cost operators probe.
+    } else {
+      EXPECT_EQ(Life.offlineHitRate(), 0.0);
+    }
+  }
+}
+
+TEST(CompileSession, HitRateAccessorsAreZeroNotNaNOnZeroProbes) {
+  // A default-constructed stats object has zero nodes and probes; the
+  // rate accessors must read 0, not NaN (division by zero would poison
+  // every JSON report and comparison downstream).
+  ServiceStats Empty;
+  EXPECT_EQ(Empty.offlineHitRate(), 0.0);
+  EXPECT_EQ(Empty.cacheHitRate(), 0.0);
+
+  // A DP-backend batch resolves nothing from tables or caches: same
+  // invariant on a stats object that went through a real compile.
+  auto T = cantFail(makeTarget("x86"));
+  std::vector<ir::IRFunction> Corpus = makeMixedCorpus(T->G);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+  std::unique_ptr<CompileService> Svc =
+      makeService(T->G, &T->Dyn, 2, BackendKind::DP);
+  cantFail(compileAll(*Svc, Ptrs));
+  ServiceStats Stats = Svc->statsSnapshot();
+  EXPECT_GT(Stats.Label.NodesLabeled, 0u);
+  EXPECT_EQ(Stats.Label.CacheProbes, 0u);
+  EXPECT_EQ(Stats.Label.OfflineHits, 0u);
+  EXPECT_EQ(Stats.offlineHitRate(), 0.0);
+  EXPECT_EQ(Stats.cacheHitRate(), 0.0);
+}
+
+namespace {
+
+/// A tiny grammar with emit templates, plus a corpus where the middle
+/// function's root has no derivation from the start nonterminal.
+const char *brokenBatchGrammar() {
+  return R"(
+    %start stmt
+    stmt: Store(reg, reg) (1) "st %2, %1";
+    reg:  Reg (0) "=r%c";
+  )";
+}
+
+void buildStore(ir::IRFunction &F, const Grammar &G, int Dst, int Src) {
+  SmallVector<ir::Node *, 2> C{F.makeLeaf(G.findOperator("Reg"), Dst),
+                               F.makeLeaf(G.findOperator("Reg"), Src)};
+  F.addRoot(F.makeNode(G.findOperator("Store"), C));
+}
+
+} // namespace
+
+TEST(CompileSession, PerFunctionErrorDoesNotPoisonBatch) {
+  Grammar G = cantFail(parseGrammar(brokenBatchGrammar()));
+  std::vector<ir::IRFunction> Corpus(3);
+  buildStore(Corpus[0], G, 1, 2);
+  // A bare Reg root: reg is derivable but stmt is not.
+  Corpus[1].addRoot(Corpus[1].makeLeaf(G.findOperator("Reg"), 7));
+  buildStore(Corpus[2], G, 3, 4);
+  std::vector<ir::IRFunction *> Ptrs = pointers(Corpus);
+
+  std::unique_ptr<LabelerBackend> B =
+      cantFail(LabelerBackend::create(BackendKind::OnDemand, G));
+  for (unsigned Workers : {1u, 2u}) {
+    // Both passes share one backend, so the second runs warm.
+    CompileService::Options Opts;
+    Opts.Workers = Workers;
+    CompileService Svc(G, nullptr, *B, std::move(Opts));
+    std::vector<CompileResult> Results = cantFail(compileAll(Svc, Ptrs));
+    ASSERT_EQ(Results.size(), 3u);
+    EXPECT_TRUE(Results[0].ok());
+    EXPECT_EQ(Results[0].Asm, "st r2, r1\n");
+    ASSERT_FALSE(Results[1].ok());
+    EXPECT_NE(Results[1].Diagnostic.find("no derivation"), std::string::npos);
+    EXPECT_TRUE(Results[1].Asm.empty());
+    EXPECT_EQ(Results[1].Instructions, 0u);
+    // The failure is isolated: the function after it compiles normally,
+    // including when the same worker scratch handled the failed one.
+    EXPECT_TRUE(Results[2].ok());
+    EXPECT_EQ(Results[2].Asm, "st r4, r3\n");
+    EXPECT_EQ(Results[0].Instructions + Results[2].Instructions, 2u);
+    // Failed functions contribute nothing to the batch totals.
+    EXPECT_EQ(concatAsm(Results), "st r2, r1\nst r4, r3\n");
+    EXPECT_EQ(totalCost(Results), Results[0].Sel.TotalCost +
+                                      Results[2].Sel.TotalCost);
   }
 }

@@ -16,7 +16,7 @@
 #include "select/LabelerBackend.h"
 
 #include "grammar/GrammarParser.h"
-#include "pipeline/CompileSession.h"
+#include "pipeline/CompileService.h"
 #include "targets/Target.h"
 #include "workload/Synthetic.h"
 #include "TestUtil.h"
@@ -106,7 +106,7 @@ TEST(LabelerBackend, AllBackendsLabelEquivalentlyThroughOneScratch) {
   Grammar G = cantFail(parseGrammar(test::runningExampleFixedText()));
 
   // Several functions through the same scratch per backend — the batch
-  // reuse pattern of CompileSession's workers.
+  // reuse pattern of CompileService's workers.
   std::vector<ir::IRFunction> Corpus(3);
   test::buildStoreTree(Corpus[0], G, 1, 1, 2);
   test::buildStoreTree(Corpus[1], G, 2, 9, 4);
@@ -307,20 +307,21 @@ TEST(LabelerBackend, MemoryBytesAgreeAcrossAutomatonBackendAndSession) {
     Ptrs.push_back(&F);
 
   for (BackendKind K : {BackendKind::OnDemand, BackendKind::Hybrid}) {
-    pipeline::CompileSession::Options Opts;
+    pipeline::CompileService::Options Opts;
     Opts.Backend = K;
-    auto Session =
-        cantFail(pipeline::CompileSession::create(T->Fixed, nullptr, Opts));
-    pipeline::SessionStats Stats;
-    Session->compileFunctions(Ptrs, 2, &Stats);
-    Session->compileFunctions(Ptrs, 2, &Stats);
+    Opts.Workers = 2;
+    auto Svc =
+        cantFail(pipeline::CompileService::create(T->Fixed, nullptr, Opts));
+    cantFail(pipeline::compileAll(*Svc, Ptrs));
+    std::size_t Cold = Svc->backend().memoryBytes();
+    cantFail(pipeline::compileAll(*Svc, Ptrs));
 
-    const auto &B = static_cast<const OnDemandBackend &>(Session->backend());
+    const auto &B = static_cast<const OnDemandBackend &>(Svc->backend());
     const OnDemandAutomaton &A = B.automaton();
     EXPECT_GT(A.memoryBytes(), 0u) << backendName(K);
-    // The session surfaces the backend's number; the on-demand backend's
-    // number is its automaton's, the hybrid's adds its offline tables.
-    EXPECT_EQ(Stats.BackendBytes, B.memoryBytes()) << backendName(K);
+    // A warm pass adds nothing. The on-demand backend's number is its
+    // automaton's, the hybrid's adds its offline tables.
+    EXPECT_EQ(B.memoryBytes(), Cold) << backendName(K);
     std::size_t Tables =
         K == BackendKind::Hybrid
             ? static_cast<const HybridBackend &>(B).tables().stats().TableBytes

@@ -14,7 +14,7 @@
 #include "serve/TcpServer.h"
 
 #include "ir/Node.h"
-#include "pipeline/CompileSession.h"
+#include "pipeline/CompileService.h"
 #include "registry/GrammarRegistry.h"
 #include "support/FaultInjection.h"
 #include "targets/Target.h"
@@ -78,13 +78,16 @@ std::string corpusToWire(const std::vector<ir::IRFunction> &Corpus,
 /// grammar — what a registry lane on any backend must reproduce.
 std::string referenceAsm(const Grammar &G, const DynCostTable &Dyn,
                          std::vector<ir::IRFunction> &Corpus) {
-  pipeline::CompileSession Session(G, &Dyn);
-  std::vector<ir::IRFunction *> Ps;
-  for (ir::IRFunction &F : Corpus)
-    Ps.push_back(&F);
-  std::vector<pipeline::CompileResult> Rs =
-      Session.compileFunctions(Ps, /*Threads=*/1);
-  return pipeline::CompileSession::concatAsm(Rs);
+  std::unique_ptr<LabelerBackend> B =
+      cantFail(LabelerBackend::create(BackendKind::OnDemand, G, &Dyn));
+  pipeline::WorkerState WS;
+  std::string Out;
+  for (ir::IRFunction &F : Corpus) {
+    pipeline::CompileResult R;
+    pipeline::compileFunctionWith(G, &Dyn, *B, F, WS, R);
+    Out += R.Asm;
+  }
+  return Out;
 }
 
 std::string readToEof(Socket &S) {

@@ -20,7 +20,7 @@
 #include "serve/TcpServer.h"
 
 #include "ir/Node.h"
-#include "pipeline/CompileSession.h"
+#include "pipeline/CompileService.h"
 #include "targets/Target.h"
 #include "workload/Synthetic.h"
 
@@ -65,13 +65,16 @@ std::string corpusToWire(const std::vector<ir::IRFunction> &Corpus,
 
 std::string referenceAsm(const Grammar &G,
                          std::vector<ir::IRFunction> &Corpus) {
-  pipeline::CompileSession Session(G);
-  std::vector<ir::IRFunction *> Ps;
-  for (ir::IRFunction &F : Corpus)
-    Ps.push_back(&F);
-  std::vector<pipeline::CompileResult> Rs =
-      Session.compileFunctions(Ps, /*Threads=*/1);
-  return pipeline::CompileSession::concatAsm(Rs);
+  std::unique_ptr<LabelerBackend> B =
+      cantFail(LabelerBackend::create(BackendKind::OnDemand, G));
+  pipeline::WorkerState WS;
+  std::string Out;
+  for (ir::IRFunction &F : Corpus) {
+    pipeline::CompileResult R;
+    pipeline::compileFunctionWith(G, nullptr, *B, F, WS, R);
+    Out += R.Asm;
+  }
+  return Out;
 }
 
 /// Reads from \p S until orderly EOF (or error, which also ends it).

@@ -44,7 +44,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Node.h"
-#include "pipeline/CompileSession.h"
+#include "pipeline/CompileService.h"
 #include "serve/Socket.h"
 #include "support/RNG.h"
 #include "support/StringUtil.h"
@@ -289,14 +289,6 @@ std::string corpusToWire(const std::vector<ir::IRFunction> &Corpus,
   return Out;
 }
 
-std::vector<ir::IRFunction *> pointers(std::vector<ir::IRFunction> &Fns) {
-  std::vector<ir::IRFunction *> Ps;
-  Ps.reserve(Fns.size());
-  for (ir::IRFunction &F : Fns)
-    Ps.push_back(&F);
-  return Ps;
-}
-
 /// Self-generating mode: a per-connection synthetic corpus with mixed
 /// function sizes (profile and node budget cycle with the connection
 /// index) and its locally computed reference assembly over \p G.
@@ -316,23 +308,18 @@ Expected<ConnPlan> makePlan(const LoadOptions &Opts, const Grammar &G,
   ConnPlan Plan;
   Plan.Wire = corpusToWire(*Corpus, G);
 
-  pipeline::CompileSession::Options SOpts;
-  // DP reference: byte-identity across backends holds for the same
-  // grammar, and the DP session needs no table generation.
-  SOpts.Backend = BackendKind::DP;
-  Expected<std::unique_ptr<pipeline::CompileSession>> Session =
-      pipeline::CompileSession::create(G, Dyn, SOpts);
-  if (!Session)
-    return Session.takeError();
-  std::vector<ir::IRFunction *> Ps = pointers(*Corpus);
-  std::vector<pipeline::CompileResult> Results =
-      (*Session)->compileFunctions(Ps, /*Threads=*/1);
+  // DP reference, compiled on this thread: byte-identity across backends
+  // holds for the same grammar, and the DP backend needs no tables.
+  DPBackend Ref(G, Dyn);
+  pipeline::WorkerState WS;
   Plan.BlockAware = true;
-  Plan.Blocks.reserve(Results.size());
-  for (const pipeline::CompileResult &R : Results) {
+  Plan.Blocks.reserve(Corpus->size());
+  for (ir::IRFunction &F : *Corpus) {
+    pipeline::CompileResult R;
+    pipeline::compileFunctionWith(G, Dyn, Ref, F, WS, R);
     if (!R.ok())
       return Error::make("reference compile failed: " + R.Diagnostic);
-    Plan.Blocks.push_back(R.Asm);
+    Plan.Blocks.push_back(std::move(R.Asm));
   }
   return Plan;
 }

@@ -8,7 +8,7 @@
 /// The batch compilation driver: pick a target grammar, a labeling
 /// backend, and one or more synthetic workload profiles, generate a corpus
 /// of IR functions, and compile it end-to-end (label + reduce + emit)
-/// through a CompileSession with a configurable number of worker threads.
+/// through a CompileService with a configurable number of worker threads.
 /// Reports end-to-end throughput, the per-phase time split, cache
 /// behavior (offline-partition hits and transition-cache hits), and a
 /// bit-identity check of the concatenated assembly across thread counts
@@ -28,7 +28,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Node.h"
-#include "pipeline/CompileSession.h"
+#include "pipeline/CompileService.h"
 #include "support/Hashing.h"
 #include "support/StringUtil.h"
 #include "support/TablePrinter.h"
@@ -77,7 +77,7 @@ int usage(const char *Argv0, int Exit) {
       "\n"
       "Generates a corpus of synthetic IR functions and compiles it\n"
       "end-to-end (label + reduce + emit) through one shared compile\n"
-      "session, concurrently, on a selectable labeling backend.\n"
+      "service, concurrently, on a selectable labeling backend.\n"
       "\n"
       "  --target=NAME|all     target grammar (default x86)\n"
       "  --profile=NAME|all    synthetic workload profile (default gzip-like)\n"
@@ -241,6 +241,27 @@ unsigned resolveThreads(unsigned N) {
   return HW ? HW : 1;
 }
 
+/// Renders the label/reduce/emit share of \p Results' summed phase time as
+/// "62/25/13" (percent, rounded), or "-" when no time was recorded. Phase
+/// times are summed across workers, so they give the split, not the wall.
+std::string labelReduceEmitSplit(const std::vector<CompileResult> &Results) {
+  std::uint64_t Ns[3] = {0, 0, 0};
+  for (const CompileResult &R : Results) {
+    Ns[0] += R.LabelNs;
+    Ns[1] += R.ReduceNs;
+    Ns[2] += R.EmitNs;
+  }
+  double Total = static_cast<double>(Ns[0]) + static_cast<double>(Ns[1]) +
+                 static_cast<double>(Ns[2]);
+  if (Total == 0)
+    return "-";
+  auto Pct = [Total](std::uint64_t N) {
+    return std::to_string(static_cast<unsigned>(
+        100.0 * static_cast<double>(N) / Total + 0.5));
+  };
+  return Pct(Ns[0]) + "/" + Pct(Ns[1]) + "/" + Pct(Ns[2]);
+}
+
 /// Writes \p Text to \p Path; complains and returns false on failure.
 bool writeFile(const std::string &Path, const std::string &Text) {
   std::ofstream Out(Path, std::ios::trunc);
@@ -345,7 +366,7 @@ int main(int Argc, char **Argv) {
           TotalNodes += F.size();
         }
 
-        CompileSession::Options SOpts;
+        CompileService::Options SOpts;
         SOpts.Backend = Backend;
         SOpts.BackendOpts.Automaton.UseTransitionCache = Opts.UseCache;
         if (Opts.MaxStates) {
@@ -356,43 +377,47 @@ int main(int Argc, char **Argv) {
         double BaselineWarmNs = 0;
         for (unsigned ThreadSpec : Opts.Threads) {
           unsigned Threads = resolveThreads(ThreadSpec);
-          Expected<std::unique_ptr<CompileSession>> SessionOrErr =
-              CompileSession::create(G, Dyn, SOpts);
-          if (!SessionOrErr) {
+          SOpts.Workers = Threads;
+          Expected<std::unique_ptr<CompileService>> SvcOrErr =
+              CompileService::create(G, Dyn, SOpts);
+          if (!SvcOrErr) {
             std::fprintf(stderr, "error: %s backend: %s\n",
-                         backendName(Backend), SessionOrErr.message().c_str());
+                         backendName(Backend), SvcOrErr.message().c_str());
             return 1;
           }
-          CompileSession &Session = **SessionOrErr;
+          CompileService &Svc = **SvcOrErr;
 
-          SessionStats Cold;
-          std::vector<CompileResult> Results =
-              Session.compileFunctions(Ptrs, Threads, &Cold);
-          std::uint64_t ColdNs = Cold.WallNs;
-
-          SessionStats Warm;
+          // A cold pass, then best-of-Repeat warm passes; the row's
+          // numbers come from the best warm pass.
+          Stopwatch Wall;
+          std::vector<CompileResult> Results = cantFail(compileAll(Svc, Ptrs));
+          std::uint64_t ColdNs = Wall.elapsedNs();
           std::uint64_t WarmNs = ~0ULL;
           for (unsigned R = 0; R < Opts.Repeat; ++R) {
-            SessionStats Pass;
-            Results = Session.compileFunctions(Ptrs, Threads, &Pass);
-            if (Pass.WallNs < WarmNs) {
-              WarmNs = Pass.WallNs;
-              Warm = Pass;
+            Wall.restart();
+            std::vector<CompileResult> Pass = cantFail(compileAll(Svc, Ptrs));
+            std::uint64_t PassNs = Wall.elapsedNs();
+            if (PassNs < WarmNs) {
+              WarmNs = PassNs;
+              Results = std::move(Pass);
             }
           }
           if (BaselineWarmNs == 0)
             BaselineWarmNs = static_cast<double>(WarmNs);
 
-          for (const CompileResult &R : Results)
+          SelectionStats Label;
+          for (const CompileResult &R : Results) {
+            Label += R.Stats;
             if (!R.ok()) {
               std::fprintf(stderr, "error: function failed to compile: %s\n",
                            R.Diagnostic.c_str());
               AnyFailed = true;
             }
+          }
 
-          std::string Asm = CompileSession::concatAsm(Results);
+          std::string Asm = concatAsm(Results);
           std::uint64_t AsmHash = hashString(Asm);
-          Cost TotalCost = CompileSession::totalCost(Results);
+          Cost TotalCost = totalCost(Results);
           std::string Check;
           if (!RefByFixed.count(Fixed)) {
             RefByFixed[Fixed] = {AsmHash, TotalCost};
@@ -414,10 +439,14 @@ int main(int Argc, char **Argv) {
             Check = Identical ? "identical" : "DIVERGED";
           }
 
-          double HitPct =
-              Warm.Label.CacheProbes
-                  ? 100.0 * static_cast<double>(Warm.Label.CacheHits) /
-                        static_cast<double>(Warm.Label.CacheProbes)
+          double HitPct = Label.CacheProbes
+                              ? 100.0 * static_cast<double>(Label.CacheHits) /
+                                    static_cast<double>(Label.CacheProbes)
+                              : 0.0;
+          double OffPct =
+              Label.NodesLabeled
+                  ? 100.0 * static_cast<double>(Label.OfflineHits) /
+                        static_cast<double>(Label.NodesLabeled)
                   : 0.0;
           Table.addRow(
               {TargetName, ProfileName, backendName(Backend),
@@ -425,14 +454,13 @@ int main(int Argc, char **Argv) {
                formatThousands(TotalNodes),
                formatFixed(static_cast<double>(ColdNs) / 1e6, 1),
                formatFixed(static_cast<double>(WarmNs) / 1e6, 1),
-               formatFixed(static_cast<double>(Warm.Functions) * 1e9 /
+               formatFixed(static_cast<double>(Results.size()) * 1e9 /
                                static_cast<double>(WarmNs),
                            1),
                formatFixed(BaselineWarmNs / static_cast<double>(WarmNs), 2),
-               phaseSplit(Warm),
-               formatFixed(100.0 * Warm.offlineHitRate(), 1),
+               labelReduceEmitSplit(Results), formatFixed(OffPct, 1),
                formatFixed(HitPct, 1),
-               formatThousands(Session.backend().numStates()),
+               formatThousands(Svc.backend().numStates()),
                formatThousands(Asm.size() / 1024), Check});
         }
       }

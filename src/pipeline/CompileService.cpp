@@ -33,15 +33,16 @@ void pipeline::compileFunctionWith(const Grammar &G, const DynCostTable *Dyn,
   Out.Sel = std::move(*S);
 
   Phase.restart();
-  targets::AsmBuffer Buf;
-  Error E = targets::emitAsm(G, F, Out.Sel, Buf);
+  WS.Asm.clear();
+  Error E = targets::emitAsm(G, F, Out.Sel, WS.Asm);
   Out.EmitNs = Phase.elapsedNs();
   if (E) {
     Out.Diagnostic = E.message();
     return;
   }
-  Out.Asm = std::move(Buf.Text);
-  Out.Instructions = Buf.Instructions;
+  // One allocation of the exact size; the worker keeps the buffer.
+  Out.Asm.assign(WS.Asm.Text);
+  Out.Instructions = WS.Asm.Instructions;
 }
 
 std::string pipeline::concatAsm(const std::vector<CompileResult> &Results) {

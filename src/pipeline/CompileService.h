@@ -95,11 +95,15 @@ Cost totalCost(const std::vector<CompileResult> &Results);
 
 /// Per-worker reusable compile state, cache-line separated across a pool.
 /// Owned by exactly one worker at a time; persistent for the owner's
-/// lifetime so the labeler scratch (DP tables, SoA node mirror) and the
-/// reduction scratch stay warm across functions and batches.
+/// lifetime so the labeler scratch (DP tables, SoA node mirror), the
+/// reduction scratch and the emit buffer stay warm across functions and
+/// batches.
 struct alignas(64) WorkerState {
   LabelerScratch Labeler;
   ReductionScratch Reduction;
+  /// Cleared per function; its capacity follows the largest function the
+  /// worker has emitted, so emitting allocates nothing once warm.
+  targets::AsmBuffer Asm;
 };
 
 /// Compiles one function end-to-end — label, reduce, emit — against \p B

@@ -50,11 +50,13 @@ std::vector<ir::IRFunction> makeCorpus(const Grammar &G) {
   return Corpus;
 }
 
+/// Warm passes per cell; the throughput numbers come from these.
+unsigned warmPasses() { return smokeScaled(3, 1); }
+
 struct Cell {
   std::uint64_t WarmNs = 0;
-  /// Labeling counters and function count summed over the warm passes.
+  /// Labeling counters summed over the warm passes.
   SelectionStats Warm;
-  std::uint64_t WarmFunctions = 0;
   std::string Asm;
   bool Failed = false;
 };
@@ -81,10 +83,9 @@ Cell runCell(const Grammar &G, const DynCostTable *Dyn, BackendKind Kind,
       cantFail(compileAll(Svc, Ptrs)); // Cold pass.
 
   Stopwatch WarmWall;
-  for (unsigned R = 0; R < smokeScaled(3, 1); ++R) {
+  for (unsigned R = 0; R < warmPasses(); ++R) {
     Results = cantFail(compileAll(Svc, Ptrs));
     Out.Warm += labelStats(Results);
-    Out.WarmFunctions += Results.size();
   }
   Out.WarmNs = WarmWall.elapsedNs();
 
@@ -149,8 +150,9 @@ int main(int Argc, char **Argv) {
           Reference = C.Asm;
         bool Identical = C.Asm == Reference;
         AllIdentical = AllIdentical && Identical;
-        double FnPerSec = static_cast<double>(C.WarmFunctions) * 1e9 /
-                          static_cast<double>(C.WarmNs);
+        double FnPerSec =
+            static_cast<double>(Ptrs.size() * warmPasses()) * 1e9 /
+            static_cast<double>(C.WarmNs);
         if (Kind == BackendKind::DP)
           DpFnPerSec = FnPerSec;
         double OffRate =

@@ -255,6 +255,11 @@ TEST(CompileService, SubmitAfterShutdownFailsWithTypedError) {
   ASSERT_FALSE(static_cast<bool>(RejectedBatch));
   EXPECT_EQ(RejectedBatch.kind(), ErrorKind::ServiceShutdown);
 
+  Expected<std::vector<CompileResult>> RejectedAll =
+      compileAll(*Svc, pointers(Corpus));
+  ASSERT_FALSE(static_cast<bool>(RejectedAll));
+  EXPECT_EQ(RejectedAll.kind(), ErrorKind::ServiceShutdown);
+
   // Idempotent; drain on a stopped service returns immediately.
   Svc->shutdown();
   Svc->drain();

@@ -23,18 +23,19 @@ void pipeline::compileFunctionWith(const Grammar &G, const DynCostTable *Dyn,
   Out.LabelNs = Phase.elapsedNs();
 
   Phase.restart();
-  Expected<Selection> S = reduce(G, F, L, Dyn, WS.Reduction);
+  Error RE = reduce(G, F, L, Dyn, WS.Reduction, WS.Sel);
   Out.ReduceNs = Phase.elapsedNs();
   Out.Stats = FnStats;
-  if (!S) {
-    Out.Diagnostic = S.message();
+  if (RE) {
+    Out.Diagnostic = RE.message();
     return;
   }
-  Out.Sel = std::move(*S);
+  // One allocation of the exact size; the worker keeps its selection.
+  Out.Sel = WS.Sel;
 
   Phase.restart();
   WS.Asm.clear();
-  Error E = targets::emitAsm(G, F, Out.Sel, WS.Asm);
+  Error E = targets::emitAsm(G, F, WS.Sel, WS.Asm);
   Out.EmitNs = Phase.elapsedNs();
   if (E) {
     Out.Diagnostic = E.message();

@@ -101,6 +101,9 @@ Cost totalCost(const std::vector<CompileResult> &Results);
 struct alignas(64) WorkerState {
   LabelerScratch Labeler;
   ReductionScratch Reduction;
+  /// Cleared per function and copied into the result at its exact size,
+  /// so the match list stops regrowing once the worker is warm.
+  Selection Sel;
   /// Cleared per function; its capacity follows the largest function the
   /// worker has emitted, so emitting allocates nothing once warm.
   targets::AsmBuffer Asm;

@@ -125,14 +125,24 @@ private:
 
 using namespace odburg;
 
-Expected<Selection> odburg::reduce(const Grammar &G, const ir::IRFunction &F,
-                                   const Labeling &L, const DynCostTable *Dyn,
-                                   ReductionScratch &Scratch) {
-  Selection Out;
+Error odburg::reduce(const Grammar &G, const ir::IRFunction &F,
+                     const Labeling &L, const DynCostTable *Dyn,
+                     ReductionScratch &Scratch, Selection &Out) {
+  Out.Matches.clear();
+  Out.TotalCost = Cost::zero();
   ReducerWalker W(G, F, L, Dyn, Out, Scratch);
   for (const ir::Node *Root : F.roots())
     if (Error E = W.walkRoot(Root, G.startNt()))
       return E;
+  return Error::success();
+}
+
+Expected<Selection> odburg::reduce(const Grammar &G, const ir::IRFunction &F,
+                                   const Labeling &L, const DynCostTable *Dyn,
+                                   ReductionScratch &Scratch) {
+  Selection Out;
+  if (Error E = reduce(G, F, L, Dyn, Scratch, Out))
+    return E;
   return Out;
 }
 

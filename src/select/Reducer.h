@@ -93,11 +93,18 @@ Expected<Selection> reduce(const Grammar &G, const ir::IRFunction &F,
                            const Labeling &L,
                            const DynCostTable *Dyn = nullptr);
 
-/// As above, but reusing \p Scratch for the visited set and walk stack —
-/// the overload each compile worker runs (see pipeline/CompileService).
+/// As above, but reusing \p Scratch for the visited set and walk stack.
 Expected<Selection> reduce(const Grammar &G, const ir::IRFunction &F,
                            const Labeling &L, const DynCostTable *Dyn,
                            ReductionScratch &Scratch);
+
+/// As above, but into \p Out, which is cleared first and keeps its
+/// capacity — the overload each compile worker runs (see
+/// pipeline/CompileService), so a warm worker's selection stops
+/// regrowing per function. \p Out is unspecified after an error.
+Error reduce(const Grammar &G, const ir::IRFunction &F, const Labeling &L,
+             const DynCostTable *Dyn, ReductionScratch &Scratch,
+             Selection &Out);
 
 } // namespace odburg
 

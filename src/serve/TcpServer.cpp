@@ -65,52 +65,37 @@ struct TcpServer::Conn {
   std::atomic<bool> Finished{false};
 };
 
-TcpServer::TcpServer(const targets::Target &T, Options Opts)
-    : T(T), Opts(std::move(Opts)) {}
+TcpServer::TcpServer(registry::GrammarRegistry &Registry,
+                     registry::Lease Default, Options Opts)
+    : Registry(Registry), Default(std::move(Default)), Opts(std::move(Opts)) {}
 
 TcpServer::~TcpServer() { stop(); }
 
-Expected<std::unique_ptr<TcpServer>> TcpServer::start(const targets::Target &T,
-                                                      Options Opts) {
+Expected<std::unique_ptr<TcpServer>>
+TcpServer::start(registry::GrammarRegistry &Registry,
+                 std::string_view DefaultGrammar, Options Opts) {
+  Expected<registry::Lease> D = Registry.acquire(DefaultGrammar);
+  if (!D)
+    return D.takeError();
   Expected<Socket> L = Socket::listenOn(Opts.Host, Opts.Port);
   if (!L)
     return L.takeError();
   Expected<std::uint16_t> P = L->boundPort();
   if (!P)
     return P.takeError();
-  std::unique_ptr<TcpServer> S(new TcpServer(T, std::move(Opts)));
+  std::unique_ptr<TcpServer> S(
+      new TcpServer(Registry, std::move(*D), std::move(Opts)));
   S->Listener = std::move(*L);
   S->BoundPort = *P;
   TcpServer *Srv = S.get();
   S->AcceptThread = std::thread([Srv] { Srv->acceptLoop(); });
-  // The governor also owns registry-lane reaping and eviction, so it
-  // runs whenever a registry is attached, budget or not.
-  if (S->Opts.MemBudgetBytes || S->Opts.Registry)
-    S->GovThread = std::thread([Srv] { Srv->governorLoop(); });
+  S->GovThread = std::thread([Srv] { Srv->governorLoop(); });
   return S;
-}
-
-const Grammar &TcpServer::laneGrammar(BackendKind K) const {
-  // The offline lane always serves the stripped fixed-cost grammar (fixed
-  // tables cannot encode dynamic costs); ForceFixed levels the others
-  // onto it so all lanes produce byte-identical assembly. The hybrid
-  // lane serves the full grammar: its dyn-cost remainder runs on the
-  // automaton, so nothing needs stripping.
-  if (Opts.ForceFixed || K == BackendKind::Offline)
-    return T.Fixed;
-  return T.G;
-}
-
-const DynCostTable *TcpServer::laneDyn(BackendKind K) const {
-  if (Opts.ForceFixed || K == BackendKind::Offline)
-    return nullptr;
-  return &T.Dyn;
 }
 
 pipeline::CompileService::Options TcpServer::laneServiceOpts(BackendKind K) {
   pipeline::CompileService::Options SO;
   SO.Backend = K;
-  SO.BackendOpts = Opts.BackendOpts;
   SO.Workers = Opts.Workers;
   SO.QueueCapacity = Opts.QueueCapacity;
   SO.DeadlineNs = Opts.CompileDeadlineMs * 1000000ull;
@@ -119,21 +104,6 @@ pipeline::CompileService::Options TcpServer::laneServiceOpts(BackendKind K) {
     dispatch(Tag, R);
   };
   return SO;
-}
-
-Expected<pipeline::CompileService *> TcpServer::lane(BackendKind K) {
-  std::lock_guard<std::mutex> L(LanesM);
-  std::unique_ptr<pipeline::CompileService> &Slot =
-      Lanes[static_cast<std::size_t>(K)];
-  if (Slot)
-    return Slot.get();
-  Expected<std::unique_ptr<pipeline::CompileService>> S =
-      pipeline::CompileService::create(laneGrammar(K), laneDyn(K),
-                                       laneServiceOpts(K));
-  if (!S)
-    return S.takeError();
-  Slot = std::move(*S);
-  return Slot.get();
 }
 
 Expected<TcpServer::RegLane *> TcpServer::regLane(const registry::Lease &L,
@@ -194,7 +164,11 @@ void TcpServer::reapIdleRegLanes(bool Force) {
 
 const pipeline::CompileService *TcpServer::laneService(BackendKind K) const {
   std::lock_guard<std::mutex> L(LanesM);
-  return Lanes[static_cast<std::size_t>(K)].get();
+  auto It = RegLanes.find(
+      std::make_pair(static_cast<const registry::GrammarEntry *>(
+                         Default.entry()),
+                     static_cast<unsigned>(K)));
+  return It == RegLanes.end() ? nullptr : It->second->Svc.get();
 }
 
 std::size_t TcpServer::registryLanes() const {
@@ -315,22 +289,16 @@ void TcpServer::dispatch(std::uint64_t Tag, const pipeline::CompileResult &R) {
 }
 
 std::string TcpServer::statsJson(BackendKind K, Conn &C,
-                                 pipeline::CompileService *Svc,
+                                 const pipeline::CompileService &Svc,
                                  const std::string &GrammarName) {
-  pipeline::ServiceStats S;
-  {
-    std::lock_guard<std::mutex> L(LanesM);
-    if (!Svc)
-      Svc = Lanes[static_cast<std::size_t>(K)].get();
-    if (Svc)
-      S = Svc->statsSnapshot();
-  }
+  pipeline::ServiceStats S = Svc.statsSnapshot();
   std::uint64_t ConnSub = 0, ConnDel = 0;
   {
     std::lock_guard<std::mutex> L(C.M);
     ConnSub = C.Submitted;
     ConnDel = C.Delivered;
   }
+  std::size_t Budget = Registry.options().MemBudgetBytes;
   // l1HitRate and denseHitRate name warm-path tiers that no longer
   // exist; they stay, always 0, for clients that still read them.
   std::string Line = formatf(
@@ -361,34 +329,23 @@ std::string TcpServer::statsJson(BackendKind K, Conn &C,
       static_cast<unsigned long long>(CancelledCount.load()),
       static_cast<unsigned long long>(fault::firedTotal()),
       Pressure.load() ? "true" : "false",
-      BackendBytes.load(), Opts.MemBudgetBytes,
-      Draining.load() ? "true" : "false");
-  if (Opts.Registry) {
-    registry::RegistryStats R = Opts.Registry->statsSnapshot();
-    std::size_t LaneCount;
-    {
-      std::lock_guard<std::mutex> L(LanesM);
-      LaneCount = RegLanes.size();
-    }
-    Line += formatf(
-        ",\"registry\":{\"residentGrammars\":%llu,\"registryLanes\":%zu,"
-        "\"acquires\":%llu,\"evictions\":%llu,\"hotSwaps\":%llu,"
-        "\"snapshotHits\":%llu,\"snapshotMisses\":%llu,"
-        "\"tablesLoads\":%llu,\"registryBytes\":%llu,"
-        "\"registryPressure\":%s,\"memBudget\":%llu}",
-        static_cast<unsigned long long>(R.ResidentGrammars), LaneCount,
-        static_cast<unsigned long long>(R.Acquires),
-        static_cast<unsigned long long>(R.Evictions),
-        static_cast<unsigned long long>(R.HotSwaps),
-        static_cast<unsigned long long>(R.SnapshotHits),
-        static_cast<unsigned long long>(R.SnapshotMisses),
-        static_cast<unsigned long long>(R.TablesLoads),
-        static_cast<unsigned long long>(R.BackendBytes),
-        R.MemoryPressure ? "true" : "false",
-        static_cast<unsigned long long>(
-            Opts.Registry->options().MemBudgetBytes));
-  }
-  Line += "}\n";
+      BackendBytes.load(), Budget, Draining.load() ? "true" : "false");
+  registry::RegistryStats R = Registry.statsSnapshot();
+  Line += formatf(
+      ",\"registry\":{\"residentGrammars\":%llu,\"registryLanes\":%zu,"
+      "\"acquires\":%llu,\"evictions\":%llu,\"hotSwaps\":%llu,"
+      "\"snapshotHits\":%llu,\"snapshotMisses\":%llu,"
+      "\"tablesLoads\":%llu,\"registryBytes\":%llu,"
+      "\"registryPressure\":%s,\"memBudget\":%zu}}\n",
+      static_cast<unsigned long long>(R.ResidentGrammars), registryLanes(),
+      static_cast<unsigned long long>(R.Acquires),
+      static_cast<unsigned long long>(R.Evictions),
+      static_cast<unsigned long long>(R.HotSwaps),
+      static_cast<unsigned long long>(R.SnapshotHits),
+      static_cast<unsigned long long>(R.SnapshotMisses),
+      static_cast<unsigned long long>(R.TablesLoads),
+      static_cast<unsigned long long>(R.BackendBytes),
+      R.MemoryPressure ? "true" : "false", Budget);
   return Line;
 }
 
@@ -398,41 +355,24 @@ void TcpServer::connReader(std::shared_ptr<Conn> C) {
   SocketStreamBuf SB(C->Sock);
   std::istream In(&SB);
   BackendKind Kind = Opts.DefaultBackend;
-  ir::SExprFunctionStream Stream(In, laneGrammar(Kind));
+  // The grammar this connection serves, pinned for its lifetime: the
+  // server's default until a GRAMMAR handshake replaces it.
+  registry::Lease Lease = Default.clone();
+  ir::SExprFunctionStream Stream(In, Lease->grammar(Kind));
   Stream.setMaxFunctionBytes(Opts.MaxFrameBytes);
-  pipeline::CompileService *Svc = nullptr;
+  // The shared per-(grammar, backend) lane this connection submits to;
+  // bound by BACKEND or the first function, never by STATS.
+  RegLane *Lane = nullptr;
 
-  // Multi-tenant state: a GRAMMAR handshake pins a registry entry for
-  // this connection's lifetime and routes it to a shared per-(grammar,
-  // backend) registry lane instead of the server target's lanes.
-  registry::Lease Lease;
-  RegLane *RLane = nullptr;
-  std::string GrammarName = T.Name;
-
-  // The grammar this connection parses and labels against right now.
-  auto CurGrammar = [&]() -> const Grammar & {
-    return Lease ? Lease->grammar(Kind) : laneGrammar(Kind);
-  };
-  // Binds Svc to the lane for the current (grammar, Kind). On failure
-  // pushes the diagnostic and returns false with Svc still null.
-  auto Bind = [&]() -> bool {
-    if (Lease) {
-      Expected<RegLane *> L = regLane(Lease, Kind);
-      if (!L) {
-        pushOut(*C, "ERROR backend: " + oneLine(L.message()) + "\n");
-        return false;
-      }
-      RLane = *L;
-      Svc = RLane->Svc.get();
-      return true;
-    }
-    Expected<pipeline::CompileService *> L = lane(Kind);
+  // Looks up (or creates) the lane for the current (grammar, Kind) and
+  // counts this connection on it. On failure pushes the diagnostic.
+  auto Acquire = [&]() -> RegLane * {
+    Expected<RegLane *> L = regLane(Lease, Kind);
     if (!L) {
       pushOut(*C, "ERROR backend: " + oneLine(L.message()) + "\n");
-      return false;
+      return nullptr;
     }
-    Svc = *L;
-    return true;
+    return *L;
   };
 
   for (;;) {
@@ -468,18 +408,12 @@ void TcpServer::connReader(std::shared_ptr<Conn> C) {
       if (Line == "STATS") {
         // Warm the lane so STATS reports the real worker pool even before
         // the first function. Out-of-band: the snapshot is pushed now, not
-        // in order with pending compile results. A target-lane warm does
-        // not bind the connection (BACKEND may still follow); a registry
-        // lane does — its refcount keeps the service alive while we read.
-        if (Svc) {
-          pushOut(*C, statsJson(Kind, *C, Svc, GrammarName));
-        } else if (Lease) {
-          if (Bind())
-            pushOut(*C, statsJson(Kind, *C, Svc, GrammarName));
-        } else if (Expected<pipeline::CompileService *> L = lane(Kind)) {
-          pushOut(*C, statsJson(Kind, *C, *L, GrammarName));
-        } else {
-          pushOut(*C, "ERROR backend: " + oneLine(L.message()) + "\n");
+        // in order with pending compile results. An unbound connection
+        // holds the lane only while it reads (BACKEND may still follow).
+        if (RegLane *L = Lane ? Lane : Acquire()) {
+          pushOut(*C, statsJson(Kind, *C, *L->Svc, Lease->name()));
+          if (!Lane)
+            releaseRegLane(L);
         }
         continue;
       }
@@ -487,36 +421,27 @@ void TcpServer::connReader(std::shared_ptr<Conn> C) {
         // Must come before the lane exists: the stream has to parse
         // against the right grammar from the first function, and the lane
         // key is the grammar. (So: GRAMMAR, then BACKEND, then traffic.)
-        if (!Opts.Registry) {
-          pushOut(*C, "ERROR protocol: no grammar registry configured\n");
-          continue;
-        }
-        if (Svc) {
+        if (Lane) {
           pushOut(*C, "ERROR protocol: GRAMMAR must precede BACKEND and "
                       "the first function\n");
           continue;
         }
         std::string_view Name = trim(std::string_view(Line).substr(8));
-        Expected<registry::Lease> L = Opts.Registry->acquire(Name);
+        Expected<registry::Lease> L = Registry.acquire(Name);
         if (!L) {
           pushOut(*C, "ERROR grammar: " + oneLine(L.message()) + "\n");
           continue;
         }
         Lease = std::move(*L);
-        GrammarName = Lease->name();
-        Stream.rebind(CurGrammar());
+        Stream.rebind(Lease->grammar(Kind));
         continue;
       }
       if (startsWith(Line, "RELOAD ")) {
         // Admin request, answered out-of-band: re-resolve from source and
         // hot-swap on content change. This connection keeps its own
         // version; only new GRAMMAR handshakes see the new epoch.
-        if (!Opts.Registry) {
-          pushOut(*C, "ERROR protocol: no grammar registry configured\n");
-          continue;
-        }
         std::string_view Name = trim(std::string_view(Line).substr(7));
-        Expected<registry::Lease> L = Opts.Registry->reload(Name);
+        Expected<registry::Lease> L = Registry.reload(Name);
         if (!L) {
           pushOut(*C, "ERROR grammar: " + oneLine(L.message()) + "\n");
           continue;
@@ -527,7 +452,7 @@ void TcpServer::connReader(std::shared_ptr<Conn> C) {
         continue;
       }
       if (startsWith(Line, "BACKEND ")) {
-        if (Svc) {
+        if (Lane) {
           pushOut(*C, "ERROR protocol: BACKEND must precede the first "
                       "function\n");
           continue;
@@ -538,23 +463,24 @@ void TcpServer::connReader(std::shared_ptr<Conn> C) {
           pushOut(*C, "ERROR protocol: " + oneLine(K.message()) + "\n");
           continue;
         }
-        // Bind the lane now: grammar switches (offline/ForceFixed serve
-        // the stripped grammar) must happen before any function parses,
-        // and a lane the server cannot build should fail the handshake,
-        // not the first compile.
+        // Bind the lane now: grammar switches (offline serves the
+        // stripped grammar) must happen before any function parses, and a
+        // lane the server cannot build should fail the handshake, not the
+        // first compile.
         Kind = *K;
-        if (!Bind())
+        if (!(Lane = Acquire()))
           break;
-        Stream.rebind(CurGrammar());
+        Stream.rebind(Lease->grammar(Kind));
         continue;
       }
       pushOut(*C, "ERROR protocol: unknown request '" + Line + "'\n");
       continue;
     }
 
-    // A function. Bind the default lane on first use.
-    if (!Svc && !Bind())
+    // A function. Bind the lane on first use.
+    if (!Lane && !(Lane = Acquire()))
       break;
+    pipeline::CompileService *Svc = Lane->Svc.get();
     ir::IRFunction &Ref = *F;
     std::uint64_t Seq = C->Frames++;
     {
@@ -608,11 +534,11 @@ void TcpServer::connReader(std::shared_ptr<Conn> C) {
   if (C->WriterT.joinable())
     C->WriterT.join();
   C->Sock.shutdownBoth();
-  // Everything this connection submitted has resolved, so its registry
-  // lane (and through it the grammar pin) can be let go — the governor
-  // reaps the lane once idle, which is what makes the entry evictable.
-  if (RLane)
-    releaseRegLane(RLane);
+  // Everything this connection submitted has resolved, so its lane (and
+  // through it the grammar pin) can be let go — the governor reaps the
+  // lane once idle, which is what makes the entry evictable.
+  if (Lane)
+    releaseRegLane(Lane);
   Lease.release();
   C->Finished.store(true);
 }
@@ -724,32 +650,21 @@ void TcpServer::governorLoop() {
     if (GovStop)
       return;
     G.unlock();
-    std::size_t Total = 0;
-    {
-      std::lock_guard<std::mutex> L(LanesM);
-      for (const std::unique_ptr<pipeline::CompileService> &Lp : Lanes)
-        if (Lp)
-          Total += Lp->backend().memoryBytes();
-    }
-    if (Opts.Registry)
-      Total += Opts.Registry->backendBytes();
+    std::size_t Total = Registry.backendBytes();
+    std::size_t Budget = Registry.options().MemBudgetBytes;
     BackendBytes.store(Total, std::memory_order_relaxed);
-    if (Opts.MemBudgetBytes) {
+    if (Budget) {
       // Hysteresis: engage above the budget, release only under 90% of
       // it — one sample hovering at the line must not flap the flag.
       bool P = Pressure.load(std::memory_order_relaxed);
-      Pressure.store(P ? Total >= Opts.MemBudgetBytes - Opts.MemBudgetBytes / 10
-                       : Total > Opts.MemBudgetBytes,
+      Pressure.store(P ? Total >= Budget - Budget / 10 : Total > Budget,
                      std::memory_order_relaxed);
     }
-    if (Opts.Registry) {
-      // Registry upkeep: over budget, reap idle lanes immediately (their
-      // pins are what keeps entries unevictable), then let the registry
-      // evict LRU backends and manage its own pressure lever.
-      bool Over = Opts.MemBudgetBytes && Total > Opts.MemBudgetBytes;
-      reapIdleRegLanes(/*Force=*/Over);
-      Opts.Registry->maintain();
-    }
+    // Registry upkeep: over budget, reap idle lanes immediately (their
+    // pins are what keeps entries unevictable), then let the registry
+    // evict LRU backends and manage its own pressure lever.
+    reapIdleRegLanes(/*Force=*/Budget && Total > Budget);
+    Registry.maintain();
     G.lock();
   }
 }
@@ -829,15 +744,15 @@ void TcpServer::stop() {
   }
 
   // 4. Quiesce the lanes. Everything submitted was already delivered (the
-  //    reader epilogues waited on it), so this is a clean join. Every
-  //    reader released its registry lane in its epilogue, so the forced
-  //    reap sees only idle lanes; dropping them releases the grammar pins
-  //    (the entries and their warm backends stay resident in the
-  //    registry, ready for a snapshot dump).
-  reapIdleRegLanes(/*Force=*/true);
-  for (std::unique_ptr<pipeline::CompileService> &L : Lanes)
-    if (L)
-      L->shutdown();
+  //    reader epilogues waited on it), so this is a clean join. The lanes
+  //    stay in the map, their ledgers readable, until the destructor
+  //    drops them and their grammar pins (the entries and their warm
+  //    backends stay resident in the registry, ready for a snapshot dump).
+  {
+    std::lock_guard<std::mutex> L(LanesM);
+    for (auto &KV : RegLanes)
+      KV.second->Svc->shutdown();
+  }
   Listener.close();
   StopDone = true;
 }

@@ -6,11 +6,14 @@
 ///
 /// \file
 /// The network layer over pipeline::CompileService: a TCP server
-/// multiplexing many client connections onto long-lived per-backend
-/// compile services for one target — ROADMAP item 1, the "heavy traffic"
-/// shape of the paper's amortization argument. One automaton (or table
-/// set) per backend serves every connection, so each new client starts
-/// warm.
+/// multiplexing many client connections onto long-lived compile services
+/// — the "heavy traffic" shape of the paper's amortization argument.
+/// Every connection runs on a registry lane: the shared service for one
+/// (grammar version, backend kind) pair, borrowing that grammar's backend
+/// from a registry::GrammarRegistry. One automaton (or table set) per
+/// grammar and backend serves every connection, so each new client starts
+/// warm. The server pins its default grammar for its whole life; a
+/// connection that sends no GRAMMAR line serves it.
 ///
 /// Threading model: thread-per-connection (one reader, one writer), plus
 /// one accept thread — the simplest shape that makes backpressure
@@ -24,27 +27,28 @@
 ///
 ///   client -> server
 ///     GRAMMAR <name-or-fingerprint>
-///                                   optional handshake (requires a
-///                                   registry, Options::Registry): bind
-///                                   this connection to that grammar —
-///                                   a built-in target name, a spooled
-///                                   <name>.odg, or the 16-hex-digit
+///                                   optional handshake: bind this
+///                                   connection to that grammar — a
+///                                   registered or built-in target name,
+///                                   a spooled <name>.odg (registry
+///                                   directory only), or the 16-hex-digit
 ///                                   fingerprint of a resident version.
 ///                                   Must precede BACKEND and the first
 ///                                   function; without it the connection
-///                                   serves the server's own target
+///                                   serves the server's default grammar
 ///     BACKEND dp|offline|ondemand|hybrid
 ///                                   optional handshake, before the first
 ///                                   function; selects this connection's
 ///                                   labeling backend (default ondemand)
-///     RELOAD <name>                 admin request (requires a registry):
-///                                   re-resolve the grammar from its
+///     RELOAD <name>                 admin request: re-resolve the
+///                                   grammar from its
 ///                                   source and hot-swap if it changed.
 ///                                   Answered out-of-band with
 ///                                   `OK RELOAD <name> epoch=N`;
 ///                                   connections already streaming keep
 ///                                   their version until they close
-///     STATS                         request a metrics snapshot, any time
+///     STATS                         request a metrics snapshot, any
+///                                   time; never binds the connection
 ///     <s-expr function frames>      blank-line separated, as produced by
 ///                                   odburg-run --dump-corpus
 ///     (half-close / EOF)            input done; the server finishes
@@ -81,8 +85,8 @@
 /// blocking the reader, an idle-connection reaper (`ERROR IdleTimeout`),
 /// per-function compile deadlines answered in the ordered slot
 /// (`ERROR DeadlineExceeded ... seq=K`), and a memory governor that
-/// reports the server degraded while its backends' shared state exceeds
-/// a byte budget.
+/// reports the server degraded while the registry's backends exceed the
+/// registry's byte budget.
 /// beginDrain()/drained() implement graceful shutdown: stop accepting,
 /// finish in-flight work, then stop(). Every path counts — see the
 /// counter accessors and the STATS line.
@@ -96,9 +100,7 @@
 #include "pipeline/CompileService.h"
 #include "registry/GrammarRegistry.h"
 #include "serve/Socket.h"
-#include "targets/Target.h"
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -121,10 +123,6 @@ public:
     std::string Host = "127.0.0.1";
     /// Listen port; 0 = ephemeral (read the outcome with port()).
     std::uint16_t Port = 0;
-    /// Serve the stripped fixed-cost grammar on every backend (offline
-    /// always does; this levels dp/ondemand/hybrid onto it so all lanes
-    /// produce byte-identical assembly).
-    bool ForceFixed = false;
     /// Per-lane CompileService worker-pool size (0 = hardware).
     unsigned Workers = 0;
     /// Per-lane service submission bound (0 = service default).
@@ -137,8 +135,6 @@ public:
     std::size_t MaxPendingWrites = 256;
     /// Lane used by connections that skip the BACKEND handshake.
     BackendKind DefaultBackend = BackendKind::OnDemand;
-    /// Tunables for lazily created lane backends.
-    LabelerBackend::Options BackendOpts;
 
     /// \name Overload control (0 = feature off, for every knob)
     /// @{
@@ -159,20 +155,8 @@ public:
     /// is answered with `ERROR DeadlineExceeded` in its ordered slot
     /// instead of being compiled (see CompileService::Options::DeadlineNs).
     std::uint64_t CompileDeadlineMs = 0;
-    /// Global budget for the lanes' shared backend state (automata,
-    /// tables). A governor thread samples against it and reports the
-    /// server degraded (STATS `degraded`) while usage is over it. With a
-    /// registry attached the sample includes the registry's resident
-    /// backends, and the governor additionally reaps idle registry lanes
-    /// and runs GrammarRegistry::maintain() each tick — the eviction
-    /// path.
-    std::size_t MemBudgetBytes = 0;
     /// @}
 
-    /// Multi-tenant mode: the grammar registry behind the `GRAMMAR` and
-    /// `RELOAD` requests. Non-owning; must outlive the server. Null =
-    /// single-tenant (GRAMMAR/RELOAD answer a protocol error).
-    registry::GrammarRegistry *Registry = nullptr;
     /// How long a registry lane (its worker pool and entry pin) survives
     /// with no connections before the governor reaps it, letting the
     /// entry become evictable. Over budget, idle lanes are reaped
@@ -180,9 +164,15 @@ public:
     unsigned RegistryLaneIdleMillis = 500;
   };
 
-  /// Binds, listens, and starts accepting. \p T must outlive the server.
-  static Expected<std::unique_ptr<TcpServer>> start(const targets::Target &T,
-                                                    Options Opts);
+  /// Pins \p DefaultGrammar (resolved as a GRAMMAR handshake would) for
+  /// the server's whole life, then binds, listens, and starts accepting.
+  /// \p Registry must outlive the server. The governor thread samples the
+  /// registry's backend bytes against its MemBudgetBytes (STATS
+  /// `degraded`), reaps idle lanes and runs GrammarRegistry::maintain()
+  /// each tick — the eviction path.
+  static Expected<std::unique_ptr<TcpServer>>
+  start(registry::GrammarRegistry &Registry, std::string_view DefaultGrammar,
+        Options Opts);
 
   TcpServer(const TcpServer &) = delete;
   TcpServer &operator=(const TcpServer &) = delete;
@@ -195,7 +185,9 @@ public:
 
   /// Stops accepting, severs every connection, waits for every accepted
   /// submission to finish (delivered or dropped), shuts the lane services
-  /// down, and joins all threads. Idempotent; safe to call concurrently
+  /// down, and joins all threads. The lanes themselves (and their entry
+  /// pins) are freed by the destructor, so their ledgers stay readable
+  /// after stop(). Idempotent; safe to call concurrently
   /// with active traffic — blocked submitters and blocked writers are
   /// released, never deadlocked.
   void stop();
@@ -215,11 +207,12 @@ public:
   std::uint64_t connectionsAccepted() const { return Accepted.load(); }
   /// Currently registered (not yet reaped) connections.
   unsigned connectionsActive() const;
-  /// The lane service for \p K if a connection has created it (tests and
-  /// metrics); null otherwise.
+  /// The default grammar's lane service for \p K if a connection has
+  /// created it and the governor has not reaped it (tests and metrics);
+  /// null otherwise.
   const pipeline::CompileService *laneService(BackendKind K) const;
   /// Live registry lanes — (grammar version, backend kind) services
-  /// created by GRAMMAR connections and not yet reaped (tests/metrics).
+  /// created by connections and not yet reaped (tests/metrics).
   std::size_t registryLanes() const;
 
   /// \name Overload/robustness counters (lifetime totals)
@@ -256,34 +249,36 @@ private:
     std::chrono::steady_clock::time_point IdleSince;
   };
 
-  TcpServer(const targets::Target &T, Options Opts);
+  TcpServer(registry::GrammarRegistry &Registry, registry::Lease Default,
+            Options Opts);
 
   void acceptLoop();
   void governorLoop();
   void connReader(std::shared_ptr<Conn> C);
   void connWriter(std::shared_ptr<Conn> C);
   void dispatch(std::uint64_t Tag, const pipeline::CompileResult &R);
-  Expected<pipeline::CompileService *> lane(BackendKind K);
   Expected<RegLane *> regLane(const registry::Lease &L, BackendKind K);
   void releaseRegLane(RegLane *L);
   void reapIdleRegLanes(bool Force);
   pipeline::CompileService::Options laneServiceOpts(BackendKind K);
-  const Grammar &laneGrammar(BackendKind K) const;
-  const DynCostTable *laneDyn(BackendKind K) const;
-  std::string statsJson(BackendKind K, Conn &C, pipeline::CompileService *Svc,
+  std::string statsJson(BackendKind K, Conn &C,
+                        const pipeline::CompileService &Svc,
                         const std::string &GrammarName);
   bool pushOut(Conn &C, std::string Bytes);
   void markDead(Conn &C);
   void reapFinished();
 
-  const targets::Target &T;
+  registry::GrammarRegistry &Registry;
+  /// The default grammar's entry, pinned for the server's whole life:
+  /// its backends are never evicted, and a RELOAD of its name only
+  /// reaches later GRAMMAR handshakes.
+  registry::Lease Default;
   Options Opts;
   Socket Listener;
   std::uint16_t BoundPort = 0;
   std::thread AcceptThread;
 
   mutable std::mutex LanesM;
-  std::array<std::unique_ptr<pipeline::CompileService>, NumBackendKinds> Lanes;
   /// Registry lanes, keyed by (entry identity, kind) — a hot swap makes a
   /// new entry, hence a new lane, while old-epoch lanes drain out.
   /// Guarded by LanesM.
@@ -306,9 +301,9 @@ private:
   std::atomic<std::uint64_t> IdleReapedCount{0};
   std::atomic<std::uint64_t> CancelledCount{0};
 
-  /// The memory governor (runs only with Options::MemBudgetBytes set):
-  /// samples lane backend bytes every ~20ms and flips the degraded flag
-  /// with hysteresis (on above the budget, off below 90% of it).
+  /// The memory governor: samples the registry's backend bytes every
+  /// ~20ms and flips the degraded flag with hysteresis (on above the
+  /// registry's budget, off below 90% of it).
   std::thread GovThread;
   std::mutex GovM;
   std::condition_variable GovCv;

@@ -119,11 +119,10 @@ std::string roundTrip(std::uint16_t Port, const std::string &Wire) {
   return readToEof(S);
 }
 
-TcpServer::Options registryOptions(registry::GrammarRegistry &R) {
+TcpServer::Options registryOptions() {
   TcpServer::Options O;
   O.Workers = 2;
   O.QueueCapacity = 8;
-  O.Registry = &R;
   return O;
 }
 
@@ -132,7 +131,7 @@ TcpServer::Options registryOptions(registry::GrammarRegistry &R) {
 TEST(RegistryChaos, ConcurrentClientsOnDifferentGrammarsAreByteIdentical) {
   auto Srv_T = cantFail(makeTarget("x86"));
   registry::GrammarRegistry R({});
-  auto Srv = cantFail(TcpServer::start(*Srv_T, registryOptions(R)));
+  auto Srv = cantFail(TcpServer::start(R, "x86", registryOptions()));
 
   // Per-grammar corpora and standalone references.
   auto Mips = cantFail(makeTarget("mips"));
@@ -170,8 +169,9 @@ TEST(RegistryChaos, ConcurrentClientsOnDifferentGrammarsAreByteIdentical) {
   EXPECT_EQ(Got[3], SparcRef);
   EXPECT_EQ(Got[4], HostRef);
 
+  // mips, sparc, and the server's default x86.
   registry::RegistryStats S = R.statsSnapshot();
-  EXPECT_EQ(S.ResidentGrammars, 2u);
+  EXPECT_EQ(S.ResidentGrammars, 3u);
   EXPECT_GE(S.Acquires, 4u);
   Srv->stop();
 }
@@ -181,14 +181,12 @@ TEST(RegistryChaos, EvictionRacesLiveTrafficWithoutCorruption) {
   // it goes unpinned; lanes reap almost immediately after their last
   // connection. Traffic across rounds must stay byte-identical through
   // every evict/rebuild cycle.
-  auto Srv_T = cantFail(makeTarget("x86"));
   registry::GrammarRegistry::Options RO;
   RO.MemBudgetBytes = 1;
   registry::GrammarRegistry R(std::move(RO));
-  TcpServer::Options SO = registryOptions(R);
-  SO.MemBudgetBytes = 1;
+  TcpServer::Options SO = registryOptions();
   SO.RegistryLaneIdleMillis = 1;
-  auto Srv = cantFail(TcpServer::start(*Srv_T, SO));
+  auto Srv = cantFail(TcpServer::start(R, "x86", SO));
 
   auto Mips = cantFail(makeTarget("mips"));
   auto Sparc = cantFail(makeTarget("sparc"));
@@ -224,11 +222,10 @@ TEST(RegistryChaos, ForcedEvictionFaultSiteKeepsTrafficCorrect) {
   // registry-evict fires on every maintain() tick: backends are dropped
   // as soon as they go unpinned even with no budget at all. Correctness
   // must not depend on residency.
-  auto Srv_T = cantFail(makeTarget("x86"));
   registry::GrammarRegistry R({});
-  TcpServer::Options SO = registryOptions(R);
+  TcpServer::Options SO = registryOptions();
   SO.RegistryLaneIdleMillis = 1;
-  auto Srv = cantFail(TcpServer::start(*Srv_T, SO));
+  auto Srv = cantFail(TcpServer::start(R, "x86", SO));
 
   auto Mips = cantFail(makeTarget("mips"));
   std::vector<ir::IRFunction> Corpus = makeCorpus(Mips->G, 6, 60);
@@ -246,7 +243,6 @@ TEST(RegistryChaos, ForcedEvictionFaultSiteKeepsTrafficCorrect) {
 }
 
 TEST(RegistryChaos, SnapshotRoundTripAndFaultedLoadColdStart) {
-  auto Srv_T = cantFail(makeTarget("x86"));
   auto Mips = cantFail(makeTarget("mips"));
   std::vector<ir::IRFunction> Corpus = makeCorpus(Mips->G, 8, 60);
   std::string Wire = "GRAMMAR mips\n" + corpusToWire(Corpus, Mips->G);
@@ -258,7 +254,7 @@ TEST(RegistryChaos, SnapshotRoundTripAndFaultedLoadColdStart) {
     registry::GrammarRegistry::Options RO;
     RO.Dir = D.Path;
     registry::GrammarRegistry R(std::move(RO));
-    auto Srv = cantFail(TcpServer::start(*Srv_T, registryOptions(R)));
+    auto Srv = cantFail(TcpServer::start(R, "x86", registryOptions()));
     EXPECT_EQ(roundTrip(Srv->port(), Wire), Ref);
     Srv->stop();
     cantFail(R.dumpWarmSnapshots());
@@ -273,7 +269,7 @@ TEST(RegistryChaos, SnapshotRoundTripAndFaultedLoadColdStart) {
     registry::GrammarRegistry::Options RO;
     RO.Dir = D.Path;
     registry::GrammarRegistry R(std::move(RO));
-    auto Srv = cantFail(TcpServer::start(*Srv_T, registryOptions(R)));
+    auto Srv = cantFail(TcpServer::start(R, "x86", registryOptions()));
     EXPECT_EQ(roundTrip(Srv->port(), Wire), Ref);
     Srv->stop();
     registry::RegistryStats S = R.statsSnapshot();
@@ -287,7 +283,7 @@ TEST(RegistryChaos, SnapshotRoundTripAndFaultedLoadColdStart) {
     registry::GrammarRegistry::Options RO;
     RO.Dir = D.Path;
     registry::GrammarRegistry R(std::move(RO));
-    auto Srv = cantFail(TcpServer::start(*Srv_T, registryOptions(R)));
+    auto Srv = cantFail(TcpServer::start(R, "x86", registryOptions()));
     EXPECT_EQ(roundTrip(Srv->port(), Wire), Ref);
     Srv->stop();
     EXPECT_GE(R.statsSnapshot().SnapshotHits, 1u);
@@ -328,7 +324,6 @@ std::string unguardedX86Text() {
 } // namespace
 
 TEST(RegistryChaos, ReloadHotSwapMidStreamCompletesOnTheOldEpoch) {
-  auto Srv_T = cantFail(makeTarget("x86"));
   TempDir D;
   {
     std::ofstream OS(D.Path + "/g.odg", std::ios::trunc);
@@ -337,7 +332,7 @@ TEST(RegistryChaos, ReloadHotSwapMidStreamCompletesOnTheOldEpoch) {
   registry::GrammarRegistry::Options RO;
   RO.Dir = D.Path;
   registry::GrammarRegistry R(std::move(RO));
-  auto Srv = cantFail(TcpServer::start(*Srv_T, registryOptions(R)));
+  auto Srv = cantFail(TcpServer::start(R, "x86", registryOptions()));
 
   // Corpus where v1 (?memop guarded) and v2 (unguarded) disagree: a
   // store tree with UNEQUAL addresses still shape-matches the RMW rule,
@@ -355,9 +350,8 @@ TEST(RegistryChaos, ReloadHotSwapMidStreamCompletesOnTheOldEpoch) {
   std::string RefV2 = referenceAsm(V2, Dyn2, Corpus);
   ASSERT_NE(RefV1, RefV2) << "corpus cannot distinguish the two versions";
 
-  // Client A binds to v1 (STATS both binds the lane and proves, by its
-  // arrival, that the server processed the handshake) and then stays
-  // connected across the swap.
+  // Client A pins v1 (STATS proves, by its arrival, that the server
+  // processed the handshake) and then stays connected across the swap.
   Socket A = cantFail(Socket::connectTo("127.0.0.1", Srv->port()));
   ASSERT_TRUE(A.writeAll("GRAMMAR g\nSTATS\n"));
   std::string AHead = readUntil(A, "}\n");
@@ -388,22 +382,19 @@ TEST(RegistryChaos, ReloadHotSwapMidStreamCompletesOnTheOldEpoch) {
 }
 
 TEST(RegistryChaos, ProtocolErrorsAreTypedAndContained) {
-  // Without a registry, GRAMMAR/RELOAD are protocol errors; with one,
-  // binding order and unknown names fail with diagnostics while the
-  // connection (and its neighbors) keep working.
+  // Binding order and unknown names fail with diagnostics while the
+  // connection (and its neighbors) keep working. Without a registry
+  // directory, built-in targets still resolve and anything else is an
+  // unknown grammar.
   auto T = cantFail(makeTarget("x86"));
-  {
-    TcpServer::Options O;
-    O.Workers = 2;
-    auto Srv = cantFail(TcpServer::start(*T, O));
-    std::string Got = roundTrip(Srv->port(), "GRAMMAR mips\n");
-    EXPECT_NE(Got.find("ERROR protocol: no grammar registry configured"),
-              std::string::npos)
-        << Got;
-    Srv->stop();
-  }
   registry::GrammarRegistry R({});
-  auto Srv = cantFail(TcpServer::start(*T, registryOptions(R)));
+  auto Srv = cantFail(TcpServer::start(R, "x86", registryOptions()));
+
+  std::string NoSuch = roundTrip(Srv->port(), "GRAMMAR nosuch\n");
+  EXPECT_NE(NoSuch.find("ERROR grammar: unknown grammar 'nosuch' (no "
+                        "registry directory configured)"),
+            std::string::npos)
+      << NoSuch;
 
   std::string Unknown = roundTrip(Srv->port(), "GRAMMAR ../escape\n");
   EXPECT_NE(Unknown.find("ERROR grammar:"), std::string::npos) << Unknown;

@@ -21,11 +21,13 @@
 
 #include "ir/Node.h"
 #include "pipeline/CompileService.h"
+#include "registry/GrammarRegistry.h"
 #include "targets/Target.h"
 #include "workload/Synthetic.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -63,15 +65,15 @@ std::string corpusToWire(const std::vector<ir::IRFunction> &Corpus,
   return Out;
 }
 
-std::string referenceAsm(const Grammar &G,
-                         std::vector<ir::IRFunction> &Corpus) {
+std::string referenceAsm(const Grammar &G, std::vector<ir::IRFunction> &Corpus,
+                         const DynCostTable *Dyn = nullptr) {
   std::unique_ptr<LabelerBackend> B =
-      cantFail(LabelerBackend::create(BackendKind::OnDemand, G));
+      cantFail(LabelerBackend::create(BackendKind::OnDemand, G, Dyn));
   pipeline::WorkerState WS;
   std::string Out;
   for (ir::IRFunction &F : Corpus) {
     pipeline::CompileResult R;
-    pipeline::compileFunctionWith(G, nullptr, *B, F, WS, R);
+    pipeline::compileFunctionWith(G, Dyn, *B, F, WS, R);
     Out += R.Asm;
   }
   return Out;
@@ -87,6 +89,19 @@ std::string readToEof(Socket &S) {
   return Out;
 }
 
+/// Reads from \p S until \p N bytes arrived (or EOF or error).
+std::string readBytes(Socket &S, std::size_t N) {
+  std::string Out;
+  char Buf[4096];
+  while (Out.size() < N) {
+    long Got = S.readSome(Buf, std::min(sizeof(Buf), N - Out.size()));
+    if (Got <= 0)
+      break;
+    Out.append(Buf, static_cast<std::size_t>(Got));
+  }
+  return Out;
+}
+
 /// A full healthy round trip: send, half-close, read everything.
 std::string roundTrip(std::uint16_t Port, const std::string &Wire) {
   Socket S = cantFail(Socket::connectTo("127.0.0.1", Port));
@@ -95,16 +110,31 @@ std::string roundTrip(std::uint16_t Port, const std::string &Wire) {
   return readToEof(S);
 }
 
+/// The registry odburg-serve --fixed builds: x86's stripped fixed-cost
+/// grammar registered alone under "x86", so every backend serves it and
+/// references computed locally against T.Fixed match any lane the
+/// scenarios pick. Start the server with "x86" as its default grammar.
+std::unique_ptr<registry::GrammarRegistry>
+fixedRegistry(std::uint64_t MemBudgetBytes = 0) {
+  registry::GrammarRegistry::Options RO;
+  RO.MemBudgetBytes = MemBudgetBytes;
+  auto R = std::make_unique<registry::GrammarRegistry>(std::move(RO));
+  auto T = cantFail(makeTarget("x86"));
+  cantFail(R->registerGrammar("x86", std::move(T->Fixed), DynCostTable()));
+  return R;
+}
+
 /// Server options tuned so chaos bites fast: tiny queues mean every
 /// scenario actually exercises the backpressure chain.
 TcpServer::Options chaosOptions() {
   TcpServer::Options O;
-  // The fixed grammar on every lane: references computed locally against
-  // T.Fixed match any backend the scenarios pick.
-  O.ForceFixed = true;
   O.Workers = 2;
   O.QueueCapacity = 4;
   O.MaxPendingWrites = 4;
+  // Idle lanes outlive every scenario, so laneService() stays valid
+  // between round trips; no scenario waits on the reaper unless it
+  // lowers this itself.
+  O.RegistryLaneIdleMillis = 600000;
   return O;
 }
 
@@ -112,7 +142,8 @@ TcpServer::Options chaosOptions() {
 
 TEST(ServerChaos, DisconnectMidStreamCancelsOnlyThatClient) {
   auto T = cantFail(makeTarget("x86"));
-  auto Srv = cantFail(TcpServer::start(*T, chaosOptions()));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
 
   std::vector<ir::IRFunction> Healthy = makeCorpus(T->Fixed, 12);
   std::string HealthyWire = corpusToWire(Healthy, T->Fixed);
@@ -166,7 +197,8 @@ TEST(ServerChaos, DisconnectMidStreamCancelsOnlyThatClient) {
 
 TEST(ServerChaos, StopUnderFullBackpressureReleasesEverything) {
   auto T = cantFail(makeTarget("x86"));
-  auto Srv = cantFail(TcpServer::start(*T, chaosOptions()));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 60, 80);
   std::string Wire = corpusToWire(Corpus, T->Fixed);
@@ -211,7 +243,8 @@ TEST(ServerChaos, StopUnderFullBackpressureReleasesEverything) {
 TEST(ServerChaos, SlowConsumerIsBoundedNotDropped) {
   auto T = cantFail(makeTarget("x86"));
   TcpServer::Options O = chaosOptions();
-  auto Srv = cantFail(TcpServer::start(*T, O));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", O));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 40, 80);
   std::string Wire = corpusToWire(Corpus, T->Fixed);
@@ -244,7 +277,8 @@ TEST(ServerChaos, SlowConsumerIsBoundedNotDropped) {
 
 TEST(ServerChaos, MalformedFunctionMidStreamYieldsDiagnosticAndServingContinues) {
   auto T = cantFail(makeTarget("x86"));
-  auto Srv = cantFail(TcpServer::start(*T, chaosOptions()));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 2);
   std::string Ref = referenceAsm(T->Fixed, Corpus);
@@ -274,7 +308,8 @@ TEST(ServerChaos, MalformedFunctionMidStreamYieldsDiagnosticAndServingContinues)
 
 TEST(ServerChaos, PartialFrameThenAbruptCloseLeavesServerServing) {
   auto T = cantFail(makeTarget("x86"));
-  auto Srv = cantFail(TcpServer::start(*T, chaosOptions()));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 6);
   std::string Wire = corpusToWire(Corpus, T->Fixed);
@@ -307,7 +342,8 @@ TEST(ServerChaos, PartialFrameThenAbruptCloseLeavesServerServing) {
 
 TEST(ServerChaos, ProtocolMisuseGetsDiagnosticsNotDisconnects) {
   auto T = cantFail(makeTarget("x86"));
-  auto Srv = cantFail(TcpServer::start(*T, chaosOptions()));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 1);
   std::string FnWire = corpusToWire(Corpus, T->Fixed);
@@ -349,7 +385,8 @@ TEST(ServerChaos, AdmissionStormIsShedDeterministicallyAtTheCap) {
   auto T = cantFail(makeTarget("x86"));
   TcpServer::Options O = chaosOptions();
   O.MaxConns = 4;
-  auto Srv = cantFail(TcpServer::start(*T, O));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", O));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 4);
   std::string Wire = corpusToWire(Corpus, T->Fixed);
@@ -397,7 +434,8 @@ TEST(ServerChaos, IdleConnectionIsReapedWithClientVisibleDiagnostic) {
   auto T = cantFail(makeTarget("x86"));
   TcpServer::Options O = chaosOptions();
   O.IdleTimeoutMillis = 250;
-  auto Srv = cantFail(TcpServer::start(*T, O));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", O));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 3);
   std::string Wire = corpusToWire(Corpus, T->Fixed);
@@ -436,7 +474,8 @@ TEST(ServerChaos, IdleConnectionIsReapedWithClientVisibleDiagnostic) {
 
 TEST(ServerChaos, GracefulDrainFinishesInFlightWorkThenStops) {
   auto T = cantFail(makeTarget("x86"));
-  auto Srv = cantFail(TcpServer::start(*T, chaosOptions()));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 16);
   std::string Wire = corpusToWire(Corpus, T->Fixed);
@@ -475,7 +514,8 @@ TEST(ServerChaos, GracefulDrainFinishesInFlightWorkThenStops) {
 
 TEST(ServerChaos, BackendHandshakeSelectsLaneAndStatsReportIt) {
   auto T = cantFail(makeTarget("x86"));
-  auto Srv = cantFail(TcpServer::start(*T, chaosOptions()));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
 
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 4);
   std::string FnWire = corpusToWire(Corpus, T->Fixed);
@@ -517,5 +557,110 @@ TEST(ServerChaos, BackendHandshakeSelectsLaneAndStatsReportIt) {
     ASSERT_NE(Lane, nullptr);
     EXPECT_EQ(Lane->statsSnapshot().Submitted, Corpus.size());
   }
+  Srv->stop();
+}
+
+TEST(ServerChaos, DefaultConnectionAndGrammarHandshakeShareOneLane) {
+  auto T = cantFail(makeTarget("x86"));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
+
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 6);
+  std::string Wire = corpusToWire(Corpus, T->Fixed);
+  std::string Ref = referenceAsm(T->Fixed, Corpus);
+
+  // A connection with no handshake and one naming the default grammar
+  // reach the same registry entry, hence the same lane and bytes.
+  std::string Plain = roundTrip(Srv->port(), Wire);
+  std::string Named = roundTrip(Srv->port(), "GRAMMAR x86\n" + Wire);
+  EXPECT_EQ(Plain, Ref);
+  EXPECT_EQ(Named, Plain);
+  EXPECT_EQ(Srv->registryLanes(), 1u);
+  const pipeline::CompileService *Lane =
+      Srv->laneService(BackendKind::OnDemand);
+  ASSERT_NE(Lane, nullptr);
+  EXPECT_EQ(Lane->statsSnapshot().Submitted, 2 * Corpus.size());
+  Srv->stop();
+}
+
+TEST(ServerChaos, StatsNeverBindsTheConnection) {
+  auto T = cantFail(makeTarget("x86"));
+  auto R = fixedRegistry();
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
+
+  // Splits a reply into its STATS line and the rest.
+  auto SplitStats = [](std::string Got, std::string &Stats) {
+    std::size_t At = Got.find("STATS {");
+    EXPECT_NE(At, std::string::npos) << Got;
+    if (At == std::string::npos)
+      return Got;
+    std::size_t End = Got.find('\n', At);
+    Stats = Got.substr(At, End - At);
+    return Got.erase(At, End - At + 1);
+  };
+
+  // STATS on an unbound default connection reports the default lane,
+  // and BACKEND may still follow it.
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 3);
+  std::string Stats;
+  std::string Asm = SplitStats(
+      roundTrip(Srv->port(),
+                "STATS\nBACKEND dp\n" + corpusToWire(Corpus, T->Fixed)),
+      Stats);
+  EXPECT_NE(Stats.find("\"backend\":\"ondemand\""), std::string::npos)
+      << Stats;
+  EXPECT_NE(Stats.find("\"grammar\":\"x86\""), std::string::npos) << Stats;
+  EXPECT_EQ(Asm, referenceAsm(T->Fixed, Corpus));
+  const pipeline::CompileService *Dp = Srv->laneService(BackendKind::DP);
+  ASSERT_NE(Dp, nullptr);
+  EXPECT_EQ(Dp->statsSnapshot().Submitted, Corpus.size());
+
+  // The same sequence after a GRAMMAR handshake.
+  auto Mips = cantFail(makeTarget("mips"));
+  std::vector<ir::IRFunction> MipsCorpus = makeCorpus(Mips->G, 3);
+  Asm = SplitStats(roundTrip(Srv->port(),
+                             "GRAMMAR mips\nSTATS\nBACKEND dp\n" +
+                                 corpusToWire(MipsCorpus, Mips->G)),
+                   Stats);
+  EXPECT_NE(Stats.find("\"grammar\":\"mips\""), std::string::npos) << Stats;
+  EXPECT_EQ(Asm, referenceAsm(Mips->G, MipsCorpus, &Mips->Dyn));
+  Srv->stop();
+}
+
+TEST(ServerChaos, ReapedDefaultLaneLeavesItsBackendWarm) {
+  auto T = cantFail(makeTarget("x86"));
+  // A one-byte budget reaps idle lanes at once and evicts every unpinned
+  // entry: only the server's pin keeps the default backend resident.
+  auto R = fixedRegistry(/*MemBudgetBytes=*/1);
+  auto Srv = cantFail(TcpServer::start(*R, "x86", chaosOptions()));
+
+  std::vector<ir::IRFunction> Corpus = makeCorpus(T->Fixed, 6);
+  std::string Wire = corpusToWire(Corpus, T->Fixed);
+  std::string Ref = referenceAsm(T->Fixed, Corpus);
+
+  // Reads a connection's lane while the connection still holds it, so
+  // the reaper cannot free the lane under the read.
+  auto StatesComputed = [&] {
+    Socket S = cantFail(Socket::connectTo("127.0.0.1", Srv->port()));
+    EXPECT_TRUE(S.writeAll(Wire));
+    EXPECT_EQ(readBytes(S, Ref.size()), Ref);
+    const pipeline::CompileService *Lane =
+        Srv->laneService(BackendKind::OnDemand);
+    EXPECT_NE(Lane, nullptr);
+    pipeline::ServiceStats St;
+    if (Lane)
+      St = Lane->statsSnapshot();
+    EXPECT_EQ(St.Submitted, Corpus.size());
+    S.shutdownWrite();
+    EXPECT_EQ(readToEof(S), "");
+    return St.Label.StatesComputed;
+  };
+
+  EXPECT_GT(StatesComputed(), 0u);
+  for (int Spin = 0; Spin < 5000 && Srv->registryLanes() != 0; ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(Srv->registryLanes(), 0u);
+  // A fresh lane on the same pinned backend: all transitions are warm.
+  EXPECT_EQ(StatesComputed(), 0u);
   Srv->stop();
 }

@@ -83,8 +83,8 @@ struct LoadOptions {
   /// Self-generating mode: target + per-connection synthetic corpora.
   std::string Target = "x86";
   /// Multi-tenant mode: cycle connections over these grammars, each
-  /// opening with a `GRAMMAR <name>` handshake (requires a server running
-  /// --registry-dir). Self-generating mode only.
+  /// opening with a `GRAMMAR <name>` handshake. Self-generating mode
+  /// only.
   std::vector<std::string> Grammars;
   bool ForceFixed = false;
   unsigned Functions = 24;
@@ -125,8 +125,7 @@ int usage(const char *Argv0, int Exit) {
       "                        server runs (default x86)\n"
       "  --grammars=A,B,...    multi-tenant mode: cycle connections over\n"
       "                        these grammars, each starting with a\n"
-      "                        'GRAMMAR <name>' handshake against a\n"
-      "                        server running --registry-dir; references\n"
+      "                        'GRAMMAR <name>' handshake; references\n"
       "                        are computed per grammar (self-generating\n"
       "                        mode only)\n"
       "  --fixed               self-generating mode: the server serves the\n"

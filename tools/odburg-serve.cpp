@@ -75,7 +75,7 @@ struct ServeOptions {
   unsigned GenThreads = 0;
   std::string InputPath; // Empty = stdin.
   // Network mode (--listen): serve the same wire format over TCP instead
-  // of stdin/stdout, one backend lane per connection-selected kind.
+  // of stdin/stdout, one lane per connection-selected grammar and kind.
   bool Listen = false;
   unsigned Port = 0;
   std::string Host = "127.0.0.1";
@@ -88,8 +88,8 @@ struct ServeOptions {
   unsigned MemBudgetMb = 0;
   unsigned DrainTimeoutMillis = 10000;
   std::string Faults; // --faults=SPEC, merged over ODBURG_FAULTS.
-  // Multi-tenant mode (--listen only): spool directory for a
-  // GrammarRegistry serving `GRAMMAR <name>` handshakes.
+  // --listen only: spool directory of the GrammarRegistry behind every
+  // connection (.odg grammars, compiled tables, warm snapshots).
   std::string RegistryDir;
   bool NoSnapshots = false; // --no-snapshots: skip warm snapshot load/dump.
 };
@@ -149,17 +149,16 @@ int usage(const char *Argv0, int Exit) {
       "                        in their ordered slot\n"
       "  --mem-budget=MB       backend-memory budget; a governor reports\n"
       "                        the server degraded while usage exceeds it\n"
-      "                        (with --registry-dir it also drives LRU\n"
-      "                        eviction of idle grammars)\n"
-      "  --registry-dir=DIR    multi-tenant mode: serve many grammars from\n"
-      "                        one process. Clients pick theirs with a\n"
-      "                        'GRAMMAR <name>' first line — a built-in\n"
-      "                        target or DIR/<name>.odg — and DIR spools\n"
+      "                        and drives LRU eviction of idle grammars\n"
+      "  --registry-dir=DIR    spool directory for the server's grammar\n"
+      "                        registry. Without it, a 'GRAMMAR <name>'\n"
+      "                        first line picks any built-in target; DIR\n"
+      "                        adds DIR/<name>.odg grammars and spools\n"
       "                        compiled tables and warm-automaton\n"
       "                        snapshots across restarts. 'RELOAD <name>'\n"
       "                        hot-swaps an edited grammar\n"
-      "  --no-snapshots        registry mode: do not load or dump warm\n"
-      "                        automaton snapshots\n"
+      "  --no-snapshots        with --registry-dir: do not load or dump\n"
+      "                        warm automaton snapshots\n"
       "  --drain-timeout=MS    SIGTERM/SIGINT drain budget before in-flight\n"
       "                        work is force-severed (default 10000)\n"
       "  --faults=SPEC         arm fault-injection sites (also read from\n"
@@ -422,8 +421,9 @@ extern "C" void onStopSignal(int) {
   (void)R;
 }
 
-/// The --listen mode: run a TcpServer over the target until SIGINT or
-/// SIGTERM, then stop it cleanly (drain connections, join every thread).
+/// The --listen mode: run a TcpServer until SIGINT or SIGTERM, then stop
+/// it cleanly (drain connections, join every thread). The target moves
+/// into the server's grammar registry as its default grammar.
 int serveNetwork(const ServeOptions &Opts, Target &T) {
   if (!Opts.InputPath.empty()) {
     std::fprintf(stderr, "error: --listen reads from sockets, not INPUT\n");
@@ -441,35 +441,37 @@ int serveNetwork(const ServeOptions &Opts, Target &T) {
   serve::TcpServer::Options SrvOpts;
   SrvOpts.Host = Opts.Host;
   SrvOpts.Port = static_cast<std::uint16_t>(Opts.Port);
-  SrvOpts.ForceFixed = Opts.ForceFixed;
   SrvOpts.Workers = Opts.Threads;
   SrvOpts.QueueCapacity = Opts.QueueCapacity;
   SrvOpts.DefaultBackend = Opts.Backend;
-  SrvOpts.BackendOpts.OfflineGenThreads = Opts.GenThreads;
   SrvOpts.MaxConns = Opts.MaxConns;
   SrvOpts.LaneHighWatermark = Opts.HighWatermark;
   SrvOpts.IdleTimeoutMillis = Opts.IdleTimeoutMillis;
   SrvOpts.CompileDeadlineMs = Opts.DeadlineMillis;
-  SrvOpts.MemBudgetBytes =
-      static_cast<std::size_t>(Opts.MemBudgetMb) * 1024 * 1024;
 
-  // Multi-tenant mode: one registry behind every connection's GRAMMAR
-  // handshake, spooling tables and warm snapshots in --registry-dir.
-  // Declared before the server so it outlives every lease the server's
-  // lanes hold.
-  std::unique_ptr<registry::GrammarRegistry> Registry;
-  if (!Opts.RegistryDir.empty()) {
-    registry::GrammarRegistry::Options RO;
-    RO.Dir = Opts.RegistryDir;
-    RO.MemBudgetBytes = SrvOpts.MemBudgetBytes;
-    RO.BackendOpts = SrvOpts.BackendOpts;
-    RO.LoadSnapshots = !Opts.NoSnapshots;
-    Registry = std::make_unique<registry::GrammarRegistry>(std::move(RO));
-    SrvOpts.Registry = Registry.get();
+  // One registry behind every connection, in memory unless --registry-dir
+  // spools tables and warm snapshots. Declared before the server so it
+  // outlives every lease the server's lanes hold.
+  registry::GrammarRegistry::Options RO;
+  RO.Dir = Opts.RegistryDir;
+  RO.MemBudgetBytes = static_cast<std::uint64_t>(Opts.MemBudgetMb) << 20;
+  RO.BackendOpts.OfflineGenThreads = Opts.GenThreads;
+  RO.LoadSnapshots = !Opts.NoSnapshots;
+  registry::GrammarRegistry Registry(std::move(RO));
+  // The target is the default grammar. --fixed registers the stripped
+  // grammar alone, so every backend serves it (offline always does).
+  Expected<registry::Lease> Registered =
+      Opts.ForceFixed
+          ? Registry.registerGrammar(T.Name, std::move(T.Fixed), DynCostTable())
+          : Registry.registerGrammar(T.Name, std::move(T.G), std::move(T.Dyn),
+                                     std::move(T.Fixed));
+  if (!Registered) {
+    std::fprintf(stderr, "error: %s\n", Registered.message().c_str());
+    return 2;
   }
 
   Expected<std::unique_ptr<serve::TcpServer>> Server =
-      serve::TcpServer::start(T, std::move(SrvOpts));
+      serve::TcpServer::start(Registry, T.Name, std::move(SrvOpts));
   if (!Server) {
     std::fprintf(stderr, "error: %s\n", Server.message().c_str());
     return 2;
@@ -494,8 +496,8 @@ int serveNetwork(const ServeOptions &Opts, Target &T) {
                Opts.Host.c_str(), (*Server)->port(), Opts.Target.c_str(),
                backendName(Opts.Backend),
                Opts.ForceFixed ? "fixed" : "full",
-               Registry ? ", registry=" : "",
-               Registry ? Opts.RegistryDir.c_str() : "");
+               Opts.RegistryDir.empty() ? "" : ", registry=",
+               Opts.RegistryDir.c_str());
 
   if (::pipe(SignalPipe) != 0) {
     std::fprintf(stderr, "error: pipe: %s\n", std::strerror(errno));
@@ -538,15 +540,15 @@ int serveNetwork(const ServeOptions &Opts, Target &T) {
                Forced ? "drain forced; severing in-flight connections"
                       : "drained clean; shutting down");
   (*Server)->stop();
-  if (Registry) {
+  if (!Opts.RegistryDir.empty()) {
     // The server is quiescent now; persist the warm automata so the next
     // process serves its first batch out of the warm cache.
     if (!Opts.NoSnapshots) {
-      if (Error E = Registry->dumpWarmSnapshots())
+      if (Error E = Registry.dumpWarmSnapshots())
         std::fprintf(stderr, "odburg-serve: warm snapshot dump failed: %s\n",
                      E.message().c_str());
     }
-    registry::RegistryStats RS = Registry->statsSnapshot();
+    registry::RegistryStats RS = Registry.statsSnapshot();
     std::fprintf(
         stderr,
         "odburg-serve: registry — %llu resident grammars, %llu acquires, "

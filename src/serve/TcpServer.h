@@ -41,8 +41,8 @@
 ///                                   function; selects this connection's
 ///                                   labeling backend (default ondemand)
 ///     RELOAD <name>                 admin request: re-resolve the
-///                                   grammar from its
-///                                   source and hot-swap if it changed.
+///                                   grammar from its source and
+///                                   hot-swap if it changed.
 ///                                   Answered out-of-band with
 ///                                   `OK RELOAD <name> epoch=N`;
 ///                                   connections already streaming keep

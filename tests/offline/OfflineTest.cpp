@@ -13,6 +13,7 @@
 #include "select/DPLabeler.h"
 #include "select/Partition.h"
 #include "select/Reducer.h"
+#include "targets/Target.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -97,6 +98,46 @@ TEST(Offline, ParallelGenerationBitIdenticalOnSynthesizedGrammar) {
     EXPECT_EQ(Par.fingerprint(), Seq.fingerprint())
         << "thread count " << Threads;
   }
+}
+
+TEST(Offline, GenerationFingerprintsArePinned) {
+  // State ids, representer indices and dense rows are a persisted format:
+  // spooled .tables files keep loading only while generation reproduces
+  // these exact automata. Any change to the generator's enumeration
+  // order shows up here first.
+  struct Pin {
+    const char *Target;
+    std::uint64_t Full, Subset;
+  };
+  const Pin Pins[] = {
+      {"x86", 0x4d1b39bb1df569bcull, 0xfd9d6bb8df719575ull},
+      {"mips", 0x91b633bb97d0e352ull, 0xdea701263fe5d5b7ull},
+      {"sparc", 0xc11adb877f649438ull, 0x5fff419a2e5e70daull},
+      {"alpha", 0x170dd309956a066eull, 0xaa23cc84eb6c7c34ull},
+      {"vm64", 0x8be62e0cd6ca39ceull, 0x4ccc6cd7219670ecull},
+  };
+  for (const Pin &P : Pins) {
+    auto T = cantFail(targets::makeTarget(P.Target));
+    CompiledTables Full = cantFail(OfflineTableGen(T->Fixed).generate());
+    EXPECT_EQ(Full.fingerprint(), P.Full) << P.Target;
+    GrammarPartition Part = GrammarPartition::compute(T->G);
+    CompiledTables Subset =
+        cantFail(OfflineTableGen(T->G).generateSubset(Part.InPartition));
+    EXPECT_EQ(Subset.fingerprint(), P.Subset) << P.Target;
+  }
+
+  // The 50-operator --smoke sibling of bench_p3_backends' P3b grammar.
+  SynthesisParams S;
+  S.NumLeafOps = 10;
+  S.NumUnaryOps = 16;
+  S.NumBinaryOps = 24;
+  S.NumNts = 6;
+  S.RulesPerOp = 6;
+  S.MaxCost = 3;
+  S.Seed = 97;
+  Grammar G = cantFail(synthesizeGrammar(S));
+  EXPECT_EQ(cantFail(OfflineTableGen(G).generate()).fingerprint(),
+            0xbfaef3fc7d914764ull);
 }
 
 TEST(Offline, FingerprintDiscriminatesGrammars) {

@@ -41,17 +41,17 @@ namespace {
 /// to the normal on-demand probe, which resolves to the exact same
 /// state the tables would have (delta normalization makes offline and
 /// on-demand states bit-equal; the seeded id space makes ids agree).
-template <typename GetChild>
-inline StateId offlineResolve(const OfflinePartitionView &PV, OperatorId Op,
-                              unsigned NumChildren, GetChild &&Child) {
-  const OfflinePartitionView::OpEntry &E = PV.Ops[Op];
+inline StateId offlineResolve(const OfflinePartitionView &PV,
+                              const ir::Node &N) {
+  const OfflinePartitionView::OpEntry &E = PV.Ops[N.op()];
   if (!E.InPartition)
     return InvalidState;
+  unsigned NumChildren = N.numChildren();
   if (NumChildren == 0)
     return E.Leaf;
   std::size_t Index = 0;
   for (unsigned P = 0; P < NumChildren; ++P) {
-    StateId C = Child(P);
+    StateId C = N.child(P)->label();
     if (C >= PV.NumStates)
       return InvalidState;
     Index = Index * E.Dims[P] + E.RepMaps[P][C];
@@ -107,21 +107,20 @@ const State *OnDemandAutomaton::computeState(OperatorId Op,
   return S;
 }
 
-template <typename ChildLabel>
-ODBURG_ALWAYS_INLINE StateId
-OnDemandAutomaton::resolve(const ir::Node &N, OperatorId Op,
-                           unsigned NumChildren, ChildLabel &&Child,
-                           SelectionStats &Stats) {
+ODBURG_ALWAYS_INLINE StateId OnDemandAutomaton::resolve(const ir::Node &N,
+                                                        SelectionStats &Stats) {
   // Hybrid dispatch: a static-partition node over offline-known child
   // states is one table index, no key, no probe.
   if (Partition) {
-    StateId Hit = offlineResolve(*Partition, Op, NumChildren, Child);
+    StateId Hit = offlineResolve(*Partition, N);
     if (ODBURG_LIKELY(Hit != InvalidState)) {
       ++Stats.OfflineHits;
       return Hit;
     }
   }
 
+  OperatorId Op = N.op();
+  unsigned NumChildren = N.numChildren();
   const auto &DynRules = G.dynRulesFor(Op);
   unsigned NumDyn = DynRules.size();
 
@@ -129,7 +128,7 @@ OnDemandAutomaton::resolve(const ir::Node &N, OperatorId Op,
   SmallVector<std::uint32_t, 20> Key;
   Key.push_back(TransitionCache::packHeader(Op, NumChildren, NumDyn));
   for (unsigned I = 0; I < NumChildren; ++I)
-    Key.push_back(Child(I));
+    Key.push_back(N.child(I)->label());
   SmallVector<Cost, 16> DynOutcomes;
   for (unsigned J = 0; J < NumDyn; ++J) {
     ++Stats.DynCostEvals;
@@ -164,9 +163,7 @@ OnDemandAutomaton::resolve(const ir::Node &N, OperatorId Op,
 
 StateId OnDemandAutomaton::labelNode(ir::Node &N, SelectionStats &Stats) {
   ++Stats.NodesLabeled;
-  StateId Id = resolve(N, N.op(), N.numChildren(),
-                       [&](unsigned I) { return N.child(I)->label(); },
-                       Stats);
+  StateId Id = resolve(N, Stats);
   N.setLabel(Id);
   return Id;
 }
@@ -177,59 +174,4 @@ void OnDemandAutomaton::labelFunction(ir::IRFunction &F,
   SelectionStats &S = Stats ? *Stats : Local;
   for (ir::Node *N : F.nodes())
     labelNode(*N, S);
-}
-
-void LabelBatch::build(const ir::IRFunction &F) {
-  A.reset();
-  N = F.size();
-  const std::vector<ir::Node *> &Fn = F.nodes();
-
-  OperatorId *Op = A.allocateArray<OperatorId>(N);
-  std::uint16_t *NC = A.allocateArray<std::uint16_t>(N);
-  ir::Node **NP = A.allocateArray<ir::Node *>(N);
-  std::uint32_t *FC = A.allocateArray<std::uint32_t>(N + 1);
-  StateId *Lb = A.allocateArray<StateId>(N);
-
-  std::size_t TotalChildren = 0;
-  for (unsigned I = 0; I < N; ++I)
-    TotalChildren += Fn[I]->numChildren();
-  std::uint32_t *CI = A.allocateArray<std::uint32_t>(TotalChildren);
-
-  std::uint32_t At = 0;
-  for (unsigned I = 0; I < N; ++I) {
-    const ir::Node *Node = Fn[I];
-    assert(Node->id() == I && "node ids must equal topological positions");
-    Op[I] = Node->op();
-    NC[I] = static_cast<std::uint16_t>(Node->numChildren());
-    NP[I] = Fn[I];
-    FC[I] = At;
-    for (ir::Node *C : Node->children())
-      CI[At++] = C->id();
-  }
-  FC[N] = At;
-
-  Ops = Op;
-  NumCh = NC;
-  Nodes = NP;
-  FirstChild = FC;
-  ChildIds = CI;
-  Labels = Lb;
-}
-
-void OnDemandAutomaton::labelFunctionBatched(ir::IRFunction &F,
-                                             LabelBatch &B,
-                                             SelectionStats *Stats) {
-  B.build(F);
-  SelectionStats Local;
-  SelectionStats &S = Stats ? *Stats : Local;
-  S.NodesLabeled += B.N;
-  for (unsigned I = 0; I < B.N; ++I) {
-    // Child states are contiguous indexed loads — the SoA win: no node
-    // pointer is chased on the warm path.
-    const std::uint32_t *Ch = B.ChildIds + B.FirstChild[I];
-    StateId Id = resolve(*B.Nodes[I], B.Ops[I], B.NumCh[I],
-                         [&](unsigned P) { return B.Labels[Ch[P]]; }, S);
-    B.Labels[I] = Id;
-    B.Nodes[I]->setLabel(Id);
-  }
 }

@@ -36,58 +36,11 @@
 #include "ir/Node.h"
 #include "select/DynCost.h"
 #include "select/Labeling.h"
-#include "support/Arena.h"
 #include "support/Statistic.h"
 
 #include <utility>
 
 namespace odburg {
-
-/// Arena-backed structure-of-arrays mirror of one function's nodes, the
-/// input of the batched labeling path. The pointer-linked ir::Node graph
-/// is cache-hostile for labeling: reading a child's state costs
-/// `N.child(I)->label()` — two dependent pointer chases into nodes
-/// scattered across the function arena. Node ids are dense and equal to
-/// the node's position in topological order, so the traversal state can
-/// instead live in flat parallel arrays indexed by id: operators,
-/// child-id adjacency (CSR-style), and the per-node state labels the
-/// children of later nodes will read. The batch loop then streams
-/// contiguous memory, and a child's state is one indexed load from an
-/// array that is hot by construction (children precede parents).
-///
-/// The arrays live in a private arena reset per function (the newest slab
-/// is kept), so a long-lived scratch reaches zero allocation traffic in
-/// the steady state. Owned by select/LabelerScratch, one per worker.
-class LabelBatch {
-public:
-  LabelBatch() = default;
-  LabelBatch(const LabelBatch &) = delete;
-  LabelBatch &operator=(const LabelBatch &) = delete;
-
-  /// (Re)fills the arrays from \p F's topological node order. Invalidates
-  /// the previous contents.
-  void build(const ir::IRFunction &F);
-
-  unsigned size() const { return N; }
-
-private:
-  friend class OnDemandAutomaton;
-
-  Arena A;
-  unsigned N = 0;
-  /// Per-node operator, arity, and node pointer (payload access for
-  /// dynamic-cost hooks + label write-back), indexed by node id.
-  const OperatorId *Ops = nullptr;
-  const std::uint16_t *NumCh = nullptr;
-  ir::Node *const *Nodes = nullptr;
-  /// CSR child adjacency: node I's children are node ids
-  /// ChildIds[FirstChild[I] .. FirstChild[I+1]).
-  const std::uint32_t *FirstChild = nullptr;
-  const std::uint32_t *ChildIds = nullptr;
-  /// Output: node I's resolved StateId — the array later nodes read their
-  /// child states from.
-  StateId *Labels = nullptr;
-};
 
 /// The on-demand automaton. Also a Labeling: after labelFunction(), nodes
 /// carry their StateId in the label slot and the reducer reads rules
@@ -126,13 +79,6 @@ public:
   /// Labels one node (children must be labeled). Returns the state id and
   /// stores it in the node's label slot.
   StateId labelNode(ir::Node &N, SelectionStats &Stats);
-
-  /// Batched labeling: rebuilds \p Batch from \p F and labels every node
-  /// through the SoA path — contiguous child-state reads, with child
-  /// State* fetched only on the slow path. Labels, rules, costs, and work
-  /// counters are identical to the node-at-a-time path.
-  void labelFunctionBatched(ir::IRFunction &F, LabelBatch &Batch,
-                            SelectionStats *Stats);
 
   /// Bridges externally enumerated states into this automaton: interns
   /// every state of \p Src in id order into the automaton's own table.
@@ -209,12 +155,10 @@ private:
   const State *computeState(OperatorId Op, const State *const *ChildStates,
                             const Cost *DynOutcomes, SelectionStats &Stats);
 
-  /// The per-node step both labeling loops share: offline-partition
-  /// index (hybrid only), then key build, one cache probe, and
-  /// StateComputer on a miss. \p Child(I) yields child I's state id.
-  template <typename ChildLabel>
-  StateId resolve(const ir::Node &N, OperatorId Op, unsigned NumChildren,
-                  ChildLabel &&Child, SelectionStats &Stats);
+  /// The per-node step: offline-partition index (hybrid only), then key
+  /// build, one cache probe, and StateComputer on a miss. \p N's
+  /// children must be labeled.
+  StateId resolve(const ir::Node &N, SelectionStats &Stats);
 
   const Grammar &G;
   const DynCostTable *Dyn;

@@ -11,11 +11,9 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <istream>
 #include <ostream>
-#include <thread>
 #include <unordered_map>
 
 using namespace odburg;
@@ -73,26 +71,12 @@ struct PosData {
   std::vector<std::uint32_t> RepOfState;
 };
 
-/// One transition tuple whose state is scheduled for computation this
-/// round: enumerated (and deduplicated against Trans) in the sequential
-/// projection phase, computed in the parallel phase, interned in the
-/// sequential intern phase — in exactly this record's collection order,
-/// which is what keeps state ids thread-count invariant. Deliberately
-/// just the tuple: a round can hold hundreds of thousands of these, so
-/// the computed cost/rule vectors live in chunk-sized reusable buffers,
-/// not per-record storage.
-struct PendingTransition {
-  OperatorId Op = InvalidOperator;
-  SmallVector<std::uint32_t, 4> Tuple;
-};
-
 /// The whole generation state machine.
 class Generator {
 public:
-  Generator(const Grammar &G, unsigned MaxStates, unsigned Threads,
+  Generator(const Grammar &G, unsigned MaxStates,
             std::vector<std::uint8_t> InPart)
-      : G(G), MaxStates(MaxStates), Threads(Threads),
-        InPart(std::move(InPart)), Computer(G),
+      : G(G), MaxStates(MaxStates), InPart(std::move(InPart)), Computer(G),
         States(std::make_unique<StateTable>(G.numNonterminals())) {}
 
   Expected<CompiledTables> run();
@@ -100,14 +84,9 @@ public:
 private:
   Error processState(StateId S);
   Error enumerateWithNewRep(OperatorId Op, unsigned Pos, std::uint32_t Rep);
-  void enqueueTransition(OperatorId Op,
-                         const SmallVectorImpl<std::uint32_t> &Tuple);
-  Error computeAndInternPending();
-  void computeChunk(std::size_t Begin, std::size_t End);
-  /// Computes tuple \p I's state vectors into the chunk buffers (slot
-  /// I - Begin). Called concurrently; writes are to disjoint slots.
-  void computeOne(std::size_t I, std::size_t Begin, SelectionStats &Stats);
-  Error internChunk(std::size_t Begin, std::size_t End);
+  /// Computes, interns and records the state of a tuple not seen before.
+  Error addTransition(OperatorId Op,
+                      const SmallVectorImpl<std::uint32_t> &Tuple);
   /// Interns the state (arrays of the nonterminal count) and queues it
   /// for processing if it is new.
   const State *internComputed(OperatorId Op, const Cost *Costs,
@@ -127,7 +106,6 @@ private:
 
   const Grammar &G;
   unsigned MaxStates;
-  unsigned Threads;
   /// One byte per operator; 0 = excluded from generation (the hybrid
   /// backend's dyn-cost remainder). All-ones for full generation.
   std::vector<std::uint8_t> InPart;
@@ -136,13 +114,6 @@ private:
   std::vector<SmallVector<PosData, 2>> Pos; // Indexed by op.
   std::vector<std::unordered_map<std::uint64_t, StateId>> Trans; // By op.
   std::deque<StateId> Worklist;
-  std::vector<PendingTransition> Pending; // This round's tuples, in order.
-  /// Chunk-local output buffers, ChunkSize x numNonterminals flat rows;
-  /// slot (I - Begin) holds tuple I's computed vectors. Reused across
-  /// chunks, so the round's transient memory is bounded by the chunk
-  /// size, not the round size.
-  std::vector<Cost> ChunkCosts;
-  std::vector<RuleId> ChunkRules;
   SelectionStats GenWork;
 };
 
@@ -215,24 +186,16 @@ Expected<CompiledTables> Generator::run() {
     LeafStates[Op] = internComputed(Op, Costs.data(), Rules.data())->Id;
   }
 
-  // Fixpoint, in rounds: drain the current worklist generation, collecting
-  // the newly reachable transition tuples (sequential: representer indices
-  // are assigned here, in canonical order); compute the tuples' states
-  // (parallel: pure DP over frozen representer vectors); intern the
-  // results in collection order (sequential: state ids are assigned here).
-  // States discovered while interning form the next round. Worklist order
-  // is FIFO, exactly as in the interleaved sequential formulation, so the
-  // discovered automaton — ids, representers, tables — is identical for
-  // any thread count.
+  if (States->size() > MaxStates)
+    return stateLimitError();
+
+  // Fixpoint: drain the worklist FIFO. Projecting a state may create a
+  // representer, whose new tuples are computed and interned on the spot;
+  // states they discover join the back of the worklist.
   while (!Worklist.empty()) {
-    Pending.clear();
-    while (!Worklist.empty()) {
-      StateId S = Worklist.front();
-      Worklist.pop_front();
-      if (Error E = processState(S))
-        return E;
-    }
-    if (Error E = computeAndInternPending())
+    StateId S = Worklist.front();
+    Worklist.pop_front();
+    if (Error E = processState(S))
       return E;
   }
 
@@ -284,7 +247,6 @@ Expected<CompiledTables> Generator::run() {
   St.TableBytes = TableBytes;
   St.GenerationMs = Timer.elapsedMs();
   St.StatesComputed = GenWork.StatesComputed;
-  St.GenThreads = Threads;
   TableBuilder::states(Out) = std::move(States);
   return Out;
 }
@@ -299,8 +261,6 @@ const State *Generator::internComputed(OperatorId Op, const Cost *Costs,
 }
 
 Error Generator::processState(StateId SId) {
-  if (States->size() > MaxStates)
-    return stateLimitError();
   const State *S = States->byId(SId);
   for (OperatorId Op = 0; Op < G.numOperators(); ++Op) {
     if (!InPart[Op])
@@ -357,7 +317,8 @@ Error Generator::enumerateWithNewRep(OperatorId Op, unsigned FixedPos,
       return Error::success();
   // Odometer over the free positions' existing representers.
   while (true) {
-    enqueueTransition(Op, Tuple);
+    if (Error E = addTransition(Op, Tuple))
+      return E;
     unsigned K = Free.size();
     while (K > 0) {
       unsigned P = Free[K - 1];
@@ -372,100 +333,28 @@ Error Generator::enumerateWithNewRep(OperatorId Op, unsigned FixedPos,
   return Error::success();
 }
 
-void Generator::enqueueTransition(
-    OperatorId Op, const SmallVectorImpl<std::uint32_t> &Tuple) {
+Error Generator::addTransition(OperatorId Op,
+                               const SmallVectorImpl<std::uint32_t> &Tuple) {
   auto [It, New] = Trans[Op].try_emplace(tupleKey(Tuple), InvalidState);
   if (!New)
-    return;
-  PendingTransition P;
-  P.Op = Op;
-  P.Tuple.assign(Tuple.begin(), Tuple.end());
-  Pending.push_back(std::move(P));
-}
-
-void Generator::computeOne(std::size_t I, std::size_t Begin,
-                           SelectionStats &Stats) {
-  const PendingTransition &P = Pending[I];
-  ++Stats.StatesComputed;
+    return Error::success();
+  // Pure DP over the tuple's representer vectors, which never change once
+  // assigned.
+  ++GenWork.StatesComputed;
   SmallVector<Cost, 32> Costs;
   SmallVector<RuleId, 32> Rules;
   Computer.compute(
-      P.Op,
+      Op,
       [&](unsigned Position, NonterminalId Nt) {
-        const PosData &D = Pos[P.Op][Position];
+        const PosData &D = Pos[Op][Position];
         std::uint32_t Idx = D.NtIndex[Nt];
         assert(Idx != ~0u && "rule reads an irrelevant nonterminal");
-        return D.RepVectors[P.Tuple[Position]][Idx];
+        return D.RepVectors[Tuple[Position]][Idx];
       },
-      [](unsigned) { return Cost::infinity(); }, Costs, Rules, &Stats);
-  unsigned N = G.numNonterminals();
-  std::copy(Costs.begin(), Costs.end(), ChunkCosts.data() + (I - Begin) * N);
-  std::copy(Rules.begin(), Rules.end(), ChunkRules.data() + (I - Begin) * N);
-}
-
-Error Generator::computeAndInternPending() {
-  // Chunked so the state limit stays responsive: a diverging grammar's
-  // round can hold vastly more tuples than MaxStates, and computing them
-  // all before the first intern would burn seconds producing an error.
-  // One chunk of computation is the most that can be wasted. (Checking
-  // Pending.size() against the limit up front would be wrong the other
-  // way: tuples dedup heavily, so a legitimate round routinely has far
-  // more tuples than new states.)
-  constexpr std::size_t ChunkSize = 8192;
-  for (std::size_t Begin = 0; Begin < Pending.size(); Begin += ChunkSize) {
-    std::size_t End = std::min(Begin + ChunkSize, Pending.size());
-    computeChunk(Begin, End);
-    if (Error E = internChunk(Begin, End))
-      return E;
-  }
-  return Error::success();
-}
-
-void Generator::computeChunk(std::size_t Begin, std::size_t End) {
-  unsigned N = G.numNonterminals();
-  ChunkCosts.resize((End - Begin) * N);
-  ChunkRules.resize((End - Begin) * N);
-  // Pure phase: every tuple's DP reads only the grammar and the frozen
-  // representer vectors, and writes only its own chunk-buffer slot, so
-  // the tuples shard freely across workers. Small chunks are not worth
-  // the thread spawns. Work-counter totals are summed over the same
-  // deterministic tuple set whatever the sharding, so they too are
-  // thread-count invariant.
-  unsigned Workers = static_cast<unsigned>(
-      std::min<std::size_t>(Threads, (End - Begin) / 8));
-  if (Workers > 1) {
-    std::vector<SelectionStats> WorkerStats(Workers);
-    std::atomic<std::size_t> Next{Begin};
-    auto Work = [&](unsigned W) {
-      std::size_t I;
-      while ((I = Next.fetch_add(1, std::memory_order_relaxed)) < End)
-        computeOne(I, Begin, WorkerStats[W]);
-    };
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers - 1);
-    for (unsigned W = 1; W < Workers; ++W)
-      Pool.emplace_back(Work, W);
-    Work(0);
-    for (std::thread &T : Pool)
-      T.join();
-    for (const SelectionStats &S : WorkerStats)
-      GenWork += S;
-  } else {
-    for (std::size_t I = Begin; I < End; ++I)
-      computeOne(I, Begin, GenWork);
-  }
-}
-
-Error Generator::internChunk(std::size_t Begin, std::size_t End) {
-  unsigned N = G.numNonterminals();
-  for (std::size_t I = Begin; I < End; ++I) {
-    const PendingTransition &P = Pending[I];
-    const State *S = internComputed(P.Op, ChunkCosts.data() + (I - Begin) * N,
-                                    ChunkRules.data() + (I - Begin) * N);
-    if (States->size() > MaxStates)
-      return stateLimitError();
-    Trans[P.Op][tupleKey(P.Tuple)] = S->Id;
-  }
+      [](unsigned) { return Cost::infinity(); }, Costs, Rules, &GenWork);
+  It->second = internComputed(Op, Costs.data(), Rules.data())->Id;
+  if (States->size() > MaxStates)
+    return stateLimitError();
   return Error::success();
 }
 
@@ -476,20 +365,17 @@ OfflineTableGen::OfflineTableGen(const Grammar &G, unsigned MaxStates)
   assert(G.isFinalized() && "grammar must be finalized");
 }
 
-Expected<CompiledTables> OfflineTableGen::generate(unsigned Threads) {
+Expected<CompiledTables> OfflineTableGen::generate() {
   return generateSubset(
-      std::vector<std::uint8_t>(G.numOperators(), std::uint8_t(1)), Threads);
+      std::vector<std::uint8_t>(G.numOperators(), std::uint8_t(1)));
 }
 
 Expected<CompiledTables>
-OfflineTableGen::generateSubset(std::span<const std::uint8_t> InPartition,
-                                unsigned Threads) {
+OfflineTableGen::generateSubset(std::span<const std::uint8_t> InPartition) {
   assert(InPartition.size() == G.numOperators() &&
          "membership vector must cover every operator");
-  if (Threads == 0)
-    Threads = std::max(1u, std::thread::hardware_concurrency());
   return Generator(
-             G, MaxStates, Threads,
+             G, MaxStates,
              std::vector<std::uint8_t>(InPartition.begin(), InPartition.end()))
       .run();
 }
@@ -818,7 +704,7 @@ Expected<CompiledTables> CompiledTables::load(std::istream &IS,
   St.TableBytes = TableBytes;
   St.GenerationMs = Timer.elapsedMs();
   St.StatesComputed = 0;
-  St.GenThreads = 0; // Marks loaded-not-generated tables.
+  St.Loaded = true;
   return Out;
 }
 

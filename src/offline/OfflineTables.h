@@ -58,7 +58,7 @@ public:
     std::size_t TableBytes = 0;     ///< Tables + representer maps.
     double GenerationMs = 0;        ///< Wall time of generation.
     std::uint64_t StatesComputed = 0; ///< Including duplicates re-derived.
-    unsigned GenThreads = 1;          ///< Worker count generation ran with.
+    bool Loaded = false;              ///< Read by load(), not generated.
   };
 
   const State *stateById(StateId Id) const { return States->byId(Id); }
@@ -113,7 +113,7 @@ public:
   /// state's (operator, costs, rules) in id order, the leaf-state map, and
   /// each operator's dims, representer maps and dense table. Two
   /// generations are bit-identical iff their fingerprints match — the
-  /// identity check behind the parallel-generation tests and benches.
+  /// identity check behind the determinism tests and load().
   std::uint64_t fingerprint() const;
 
   /// Serializes the tables — partition membership, states, leaf-state
@@ -137,9 +137,8 @@ public:
   /// file can never label. All failures are typed
   /// ErrorKind::MalformedInput except dynamic costs
   /// (ErrorKind::UnsupportedDynamicCosts). The loaded stats report
-  /// GenThreads == 0 to mark tables that were loaded, not generated;
-  /// GenerationMs is the load time. Whether the loaded partition is the
-  /// one the caller wants is the caller's check (compare
+  /// Loaded, and GenerationMs is the load time. Whether the loaded
+  /// partition is the one the caller wants is the caller's check (compare
   /// partitionMembership(); the hybrid backend does).
   static Expected<CompiledTables> load(std::istream &IS, const Grammar &G);
 
@@ -166,26 +165,22 @@ private:
 
 /// Generates CompiledTables for a grammar without dynamic costs.
 ///
-/// Generation runs the classic worklist fixpoint, restructured into
-/// *rounds* so the expensive part parallelizes deterministically: each
-/// round (a) sequentially projects the pending states onto every
-/// (operator, position), assigning representer indices in canonical order
-/// and collecting the newly reachable transition tuples, (b) computes the
-/// tuples' state vectors across worker threads (each computation is pure
-/// DP over frozen representer vectors), then (c) interns the results into
-/// the thread-safe StateTable in collection order. Because representer
-/// and state ids are assigned only in the sequential phases, the tables
-/// are bit-identical for ANY thread count — fingerprint() equality is
-/// tested, not hoped for.
+/// Generation runs the classic worklist fixpoint, FIFO: each state is
+/// projected onto every (operator, position); a projection not seen
+/// before becomes a new representer, and every transition tuple it
+/// completes is computed by DP over the representers' cost vectors and
+/// interned at once, queueing any new state. State and representer ids
+/// are therefore a pure function of the grammar and the operator subset,
+/// and generation is deterministic — fingerprint() equality across runs
+/// is tested, and the shipped targets' fingerprints are pinned.
 class OfflineTableGen {
 public:
   explicit OfflineTableGen(const Grammar &G, unsigned MaxStates = 1u << 18);
 
-  /// Runs exhaustive state enumeration with \p Threads workers for the
-  /// state-computation phase (0 = hardware concurrency, 1 = sequential).
-  /// Fails with ErrorKind::UnsupportedDynamicCosts if the grammar has
-  /// dynamic costs and ErrorKind::StateLimitExceeded past the state bound.
-  Expected<CompiledTables> generate(unsigned Threads = 1);
+  /// Runs exhaustive state enumeration. Fails with
+  /// ErrorKind::UnsupportedDynamicCosts if the grammar has dynamic costs
+  /// and ErrorKind::StateLimitExceeded past the state bound.
+  Expected<CompiledTables> generate();
 
   /// As generate(), restricted to the operator subset marked by
   /// \p InPartition (one byte per operator, 1 = member): only member
@@ -195,11 +190,9 @@ public:
   /// those reachable through the partition — the hybrid backend's static
   /// majority. The grammar may carry dynamic costs as long as every
   /// member operator is dyn-free (ErrorKind::UnsupportedDynamicCosts
-  /// otherwise); member arities must still be <= 4. Determinism is
-  /// unchanged: bit-identical tables for any thread count.
+  /// otherwise); member arities must still be <= 4.
   Expected<CompiledTables>
-  generateSubset(std::span<const std::uint8_t> InPartition,
-                 unsigned Threads = 1);
+  generateSubset(std::span<const std::uint8_t> InPartition);
 
 private:
   const Grammar &G;

@@ -12,7 +12,7 @@
 ///
 ///   - construct once per grammar: the service owns the labeling backend
 ///     (any BackendKind) and a pool of worker threads with persistent
-///     per-worker scratch (reduction scratch, DP tables, SoA node mirror);
+///     per-worker scratch (reduction scratch, DP tables, emit buffer);
 ///   - submit(F) hands one function to the pool and returns a
 ///     std::future<CompileResult>; submitBatch() submits a span in order;
 ///   - results are *delivered* strictly in submission order: the optional
@@ -95,7 +95,7 @@ Cost totalCost(const std::vector<CompileResult> &Results);
 
 /// Per-worker reusable compile state, cache-line separated across a pool.
 /// Owned by exactly one worker at a time; persistent for the owner's
-/// lifetime so the labeler scratch (DP tables, SoA node mirror), the
+/// lifetime so the labeler scratch (the DP backend's tables), the
 /// reduction scratch and the emit buffer stay warm across functions and
 /// batches.
 struct alignas(64) WorkerState {

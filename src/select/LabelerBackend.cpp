@@ -54,8 +54,7 @@ LabelerBackend::create(BackendKind K, const Grammar &G,
     // their kind intact so drivers can dispatch (e.g. fall back to the
     // on-demand backend or retry against Target::Fixed).
     Expected<CompiledTables> Tables =
-        OfflineTableGen(G, Opts.OfflineMaxStates)
-            .generate(Opts.OfflineGenThreads);
+        OfflineTableGen(G, Opts.OfflineMaxStates).generate();
     if (!Tables)
       return Tables.takeError();
     return std::unique_ptr<LabelerBackend>(
@@ -82,8 +81,7 @@ HybridBackend::create(const Grammar &G, const DynCostTable *Dyn,
   // excluded by construction, so the only reachable failures are the
   // structural ones (state-limit blowouts), which propagate typed.
   Expected<CompiledTables> Tables =
-      OfflineTableGen(G, Opts.OfflineMaxStates)
-          .generateSubset(P.InPartition, Opts.OfflineGenThreads);
+      OfflineTableGen(G, Opts.OfflineMaxStates).generateSubset(P.InPartition);
   if (!Tables)
     return Tables.takeError();
   return std::unique_ptr<HybridBackend>(

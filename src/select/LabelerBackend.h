@@ -15,8 +15,8 @@
 ///     offline tables, the on-demand automaton's tables — or nothing, for
 ///     the DP labeler) and is safe to label against from many threads;
 ///   - *per-worker state* lives in a LabelerScratch the caller owns, one
-///     per worker thread: the DP backend's reusable label table, the
-///     on-demand backend's SoA node mirror;
+///     per worker thread: the DP backend's reusable label table (the
+///     automaton backends keep labels in the nodes and need none);
 ///   - labelFunction(F, Scratch) labels one function and returns the
 ///     Labeling view the reducer consumes. The view is valid until the
 ///     same scratch labels the next function, which is exactly the
@@ -69,8 +69,8 @@ enum class BackendKind {
   Hybrid,
 };
 
-/// Number of BackendKind values — sizes per-backend arrays (e.g. the TCP
-/// server's lanes). Keep in sync with the enum.
+/// Number of BackendKind values — sizes per-backend arrays (a registry
+/// entry's GrammarEntry::Backends). Keep in sync with the enum.
 inline constexpr unsigned NumBackendKinds = 4;
 
 /// Canonical lower-case name ("dp", "offline", "ondemand", "hybrid").
@@ -96,13 +96,9 @@ public:
 
 private:
   friend class DPBackend;
-  friend class OnDemandBackend;
 
   /// DP backend: the reused per-function label table.
   DPLabeling DP;
-  /// On-demand backend: the worker's arena-backed SoA node mirror for the
-  /// batched labeling path (see core/OnDemandAutomaton.h, LabelBatch).
-  LabelBatch Batch;
 };
 
 /// A labeling engine behind the uniform create-once / label-per-worker
@@ -116,10 +112,6 @@ public:
     OnDemandAutomaton::Options Automaton;
     /// Offline: state bound for exhaustive generation.
     unsigned OfflineMaxStates = 1u << 18;
-    /// Offline: worker threads for table generation (0 = hardware
-    /// concurrency, 1 = sequential). Tables are bit-identical for any
-    /// count, so the default uses every core.
-    unsigned OfflineGenThreads = 0;
   };
 
   virtual ~LabelerBackend() = default;
@@ -205,10 +197,10 @@ private:
 };
 
 /// The on-demand automaton behind the backend interface. One shared
-/// automaton serves all workers; each worker labels through the SoA
-/// batched path with its own scratch. HybridBackend derives from this:
-/// same labeling loop, with the automaton's offline-partition dispatch
-/// armed.
+/// automaton serves all workers, each labeling its own functions through
+/// the automaton's node loop; labels live in the nodes, so the scratch
+/// is unused. HybridBackend derives from this: same labeling loop, with
+/// the automaton's offline-partition dispatch armed.
 class OnDemandBackend : public LabelerBackend {
 public:
   OnDemandBackend(const Grammar &G, const DynCostTable *Dyn,
@@ -216,9 +208,9 @@ public:
       : A(G, Dyn, Opts.Automaton) {}
 
   BackendKind kind() const override { return BackendKind::OnDemand; }
-  const Labeling &labelFunction(ir::IRFunction &F, LabelerScratch &Scratch,
+  const Labeling &labelFunction(ir::IRFunction &F, LabelerScratch &,
                                 SelectionStats *Stats) override {
-    A.labelFunctionBatched(F, Scratch.Batch, Stats);
+    A.labelFunction(F, Stats);
     return A;
   }
   bool supportsDynCosts() const override { return true; }

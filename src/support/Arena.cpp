@@ -56,24 +56,6 @@ void *Arena::allocate(std::size_t Bytes, std::size_t Alignment) {
   return Result;
 }
 
-void Arena::reset() {
-  if (!Current)
-    return;
-  // Free every slab but the newest (largest, in the common growth
-  // pattern) and rewind its bump pointer.
-  Slab *S = Current->Prev;
-  while (S) {
-    Slab *Prev = S->Prev;
-    BytesAllocated -= S->Size;
-    --NumSlabs;
-    std::free(S);
-    S = Prev;
-  }
-  Current->Prev = nullptr;
-  Ptr = reinterpret_cast<char *>(Current) + sizeof(Slab);
-  End = reinterpret_cast<char *>(Current) + Current->Size;
-}
-
 const char *Arena::copyString(const char *Str, std::size_t Len) {
   char *Mem = static_cast<char *>(allocate(Len + 1, 1));
   std::memcpy(Mem, Str, Len);

@@ -73,12 +73,6 @@ public:
   /// arena and returns a NUL-terminated copy.
   const char *copyString(const char *Str, std::size_t Len);
 
-  /// Discards every allocation but keeps the newest slab for reuse, so a
-  /// per-iteration arena (e.g. one function's SoA labeling scratch)
-  /// reaches a steady state with zero malloc traffic. All previously
-  /// returned pointers are invalidated.
-  void reset();
-
   /// Total bytes obtained from malloc (capacity, not live data).
   std::size_t bytesAllocated() const { return BytesAllocated; }
 

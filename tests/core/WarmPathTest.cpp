@@ -12,11 +12,12 @@
 // their names:
 //
 // - L1Cache: the hashed probe API every node goes through, and the
-//   per-worker labeling scratch (LabelBatch) that is rebuilt per function
-//   and rebound across automatons. A hit is always the value inserted for
-//   exactly that key; counters account for one probe per node; reusing a
-//   scratch never leaks state ids between automatons; per-worker scratches
-//   under concurrency label bit-identically to a serial pass.
+//   per-worker LabelerScratch that is reused across functions and rebound
+//   across backends and automatons. A hit is always the value inserted
+//   for exactly that key; counters account for one probe per node;
+//   reusing a scratch never leaks state ids between automatons;
+//   per-worker scratches under concurrency label bit-identically to a
+//   serial pass.
 // - DenseTier: key layout (binary keys are ordered, hook outcomes are part
 //   of the key), slot-array regrowth that retires and counts superseded
 //   arrays, the memory accounting that agrees from automaton to backend,
@@ -24,8 +25,8 @@
 //   admits, and that labeling is identical with it and without it, cold
 //   and under racing workers.
 // - ParallelLabel: concurrent labeling as production runs it — N
-//   CompileService workers, each labeling through labelFunctionBatched with
-//   its own scratch, on one shared backend. The worker count is a pure
+//   CompileService workers, each labeling through the automaton's node
+//   loop with its own scratch, on one shared backend. The worker count is a pure
 //   throughput knob: rules and normalized costs per node are bit-identical
 //   to a serial pass, and the state table converges to the same set of
 //   states (hash consing is order-independent).
@@ -283,10 +284,10 @@ TEST(L1Cache, TwoWayForcedCollisionEvictsNeverLies) {
 }
 
 TEST(L1Cache, TwoWayRebindInvalidatesBothWays) {
-  // A LabelerScratch holds two per-worker parts: the DP backend's label
-  // table and the on-demand backend's LabelBatch. Moving one scratch back
-  // and forth between the two backends, over functions of different
-  // sizes, must label like DP every time.
+  // A LabelerScratch holds the DP backend's label table; the on-demand
+  // backend keeps its labels in the nodes. Moving one scratch back and
+  // forth between the two backends, over functions of different sizes,
+  // must label like DP every time.
   Grammar G = cantFail(parseGrammar(test::runningExampleText()));
   DynCostTable Dyn =
       cantFail(DynCostTable::build(G, test::runningExampleHooks()));
@@ -332,8 +333,8 @@ TEST(L1Cache, SameSlotDifferentLengthMisses) {
 }
 
 TEST(L1Cache, RebindInvalidatesAllEntries) {
-  // LabelBatch::build() replaces the previous function's contents: after
-  // a large function, a small one sees only its own nodes and labels.
+  // One scratch reused across functions of very different sizes: each
+  // labeling sees only its own nodes, alternating large and small.
   auto T = cantFail(makeTarget("x86"));
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->G);
   ir::IRFunction *Large = &Corpus[0];
@@ -346,26 +347,22 @@ TEST(L1Cache, RebindInvalidatesAllEntries) {
       Small = &F;
   ASSERT_LT(Small->size(), Large->size());
 
-  OnDemandAutomaton A(T->G, &T->Dyn);
+  std::unique_ptr<LabelerBackend> B = onDemandBackend(*T);
   DPLabeler Ref(T->G, &T->Dyn);
-  LabelBatch Batch;
-  Batch.build(*Large);
-  EXPECT_EQ(Batch.size(), Large->size());
-  Batch.build(*Small);
-  EXPECT_EQ(Batch.size(), Small->size());
-
+  LabelerScratch Scratch;
   for (ir::IRFunction *F : {Large, Small, Large, Small}) {
-    A.labelFunctionBatched(*F, Batch, nullptr);
-    EXPECT_EQ(Batch.size(), F->size());
+    SelectionStats Stats;
+    const Labeling &L = B->labelFunction(*F, Scratch, &Stats);
+    EXPECT_EQ(Stats.NodesLabeled, F->size());
     DPLabeling Want = Ref.label(*F);
-    test::expectEquivalent(T->G, *F, Want, A);
+    test::expectEquivalent(T->G, *F, Want, L);
   }
 }
 
 TEST(L1Cache, ScratchSurvivesAutomatonReplacementAtSameAddress) {
-  // Label through a batch against automaton A, destroy A, build B
+  // Label through a scratch against backend A, destroy A, build B
   // (frequently at A's old address) with its table seeded in a different
-  // order, and relabel through the same batch: B's labeling must come
+  // order, and relabel through the same scratch: B's labeling must come
   // from B's own states.
   Grammar G = cantFail(parseGrammar(test::runningExampleFixedText()));
   ir::IRFunction F;
@@ -373,24 +370,23 @@ TEST(L1Cache, ScratchSurvivesAutomatonReplacementAtSameAddress) {
   test::buildStoreTree(F, G, 2, 9, 4);
   DPLabeling Ref = DPLabeler(G).label(F);
 
-  LabelBatch Batch;
-  auto A = std::make_unique<OnDemandAutomaton>(G);
-  A->labelFunctionBatched(F, Batch, nullptr);
+  LabelerScratch Scratch;
+  auto A = cantFail(LabelerBackend::create(BackendKind::OnDemand, G));
+  A->labelFunction(F, Scratch);
   A.reset();
 
-  auto B = std::make_unique<OnDemandAutomaton>(G);
+  auto B = cantFail(LabelerBackend::create(BackendKind::OnDemand, G));
   ir::IRFunction Other;
   test::buildStoreTree(Other, G, 7, 5, 6);
-  B->labelFunction(Other);
-  B->labelFunctionBatched(F, Batch, nullptr);
-  test::expectEquivalent(G, F, Ref, *B);
+  B->labelFunction(Other, Scratch);
+  test::expectEquivalent(G, F, Ref, B->labelFunction(F, Scratch));
 }
 
 TEST(L1Cache, LabelingIdenticalWithTinyAndDefaultL1) {
   // The cache starts from 64-slot seed arrays and grows; with the cache
   // off every node recomputes its state. Rules and costs must match
-  // between the two, on the node-at-a-time and the batched path, with the
-  // memop hook in play. Every node is exactly one probe.
+  // between the two, cold and warm, with the memop hook in play. Every
+  // node is exactly one probe.
   Grammar G = cantFail(parseGrammar(test::runningExampleText()));
   DynCostTable Dyn =
       cantFail(DynCostTable::build(G, test::runningExampleHooks()));
@@ -405,61 +401,45 @@ TEST(L1Cache, LabelingIdenticalWithTinyAndDefaultL1) {
     Ref.push_back(labelingSnapshot(F, G.numNonterminals(), Plain));
   }
 
-  for (bool Batched : {false, true}) {
-    OnDemandAutomaton A(G, &Dyn);
-    LabelBatch Batch;
-    SelectionStats Stats;
-    Snapshot Got;
-    for (int Pass = 0; Pass < 2; ++Pass) {
-      Got.clear();
-      for (ir::IRFunction &F : Corpus) {
-        if (Batched)
-          A.labelFunctionBatched(F, Batch, &Stats);
-        else
-          A.labelFunction(F, &Stats);
-        Got.push_back(labelingSnapshot(F, G.numNonterminals(), A));
-      }
-      EXPECT_EQ(Got, Ref) << "batched " << Batched << " pass " << Pass;
+  OnDemandAutomaton A(G, &Dyn);
+  SelectionStats Stats;
+  Snapshot Got;
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    Got.clear();
+    for (ir::IRFunction &F : Corpus) {
+      A.labelFunction(F, &Stats);
+      Got.push_back(labelingSnapshot(F, G.numNonterminals(), A));
     }
-    EXPECT_EQ(Stats.CacheProbes, Stats.NodesLabeled);
-    EXPECT_EQ(Stats.CacheHits + Stats.StatesComputed, Stats.CacheProbes);
-    expectNoRetiredTierCounters(Stats);
+    EXPECT_EQ(Got, Ref) << "pass " << Pass;
   }
+  EXPECT_EQ(Stats.CacheProbes, Stats.NodesLabeled);
+  EXPECT_EQ(Stats.CacheHits + Stats.StatesComputed, Stats.CacheProbes);
+  expectNoRetiredTierCounters(Stats);
 }
 
 TEST(L1Cache, CountersMonotoneAndConsistentWithSharedCache) {
   // At the automaton level, on one thread: cumulative counters never step
   // back; every node is one shared-cache probe that either hits or
-  // computes one state; the batched path counts exactly like the
-  // node-at-a-time path; and a warm relabel computes nothing.
+  // computes one state; and a warm relabel computes nothing.
   auto T = cantFail(makeTarget("x86"));
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->G);
 
   OnDemandAutomaton Node(T->G, &T->Dyn);
-  OnDemandAutomaton Batched(T->G, &T->Dyn);
-  LabelBatch Batch;
-  SelectionStats Total, TotalBatched;
+  SelectionStats Total;
   std::uint64_t LastProbes = 0, LastHits = 0;
   for (int Pass = 0; Pass < 3; ++Pass) {
-    for (ir::IRFunction &F : Corpus) {
+    for (ir::IRFunction &F : Corpus)
       Node.labelFunction(F, &Total);
-      Batched.labelFunctionBatched(F, Batch, &TotalBatched);
-    }
     EXPECT_GE(Total.CacheProbes, LastProbes);
     EXPECT_GE(Total.CacheHits, LastHits);
     LastProbes = Total.CacheProbes;
     LastHits = Total.CacheHits;
     EXPECT_EQ(Total.CacheProbes, Total.NodesLabeled);
     EXPECT_EQ(Total.CacheHits + Total.StatesComputed, Total.CacheProbes);
-    EXPECT_EQ(TotalBatched.NodesLabeled, Total.NodesLabeled);
-    EXPECT_EQ(TotalBatched.CacheProbes, Total.CacheProbes);
-    EXPECT_EQ(TotalBatched.CacheHits, Total.CacheHits);
-    EXPECT_EQ(TotalBatched.StatesComputed, Total.StatesComputed);
   }
   // Each miss inserts one new transition.
   EXPECT_EQ(Total.StatesComputed, Node.numTransitions());
   expectNoRetiredTierCounters(Total);
-  expectNoRetiredTierCounters(TotalBatched);
 
   std::size_t TransitionsBefore = Node.numTransitions();
   SelectionStats Warm;
@@ -471,37 +451,38 @@ TEST(L1Cache, CountersMonotoneAndConsistentWithSharedCache) {
 }
 
 TEST(L1Cache, ScratchReboundAcrossAutomatonsStaysCorrect) {
-  // One batch serves an x86 automaton, then a mips automaton whose state
-  // ids mean different things. The mips labeling must equal a fresh
-  // batch's.
+  // One scratch serves an x86 backend, then a mips backend whose state
+  // ids mean different things. The mips labeling must equal that of a
+  // second mips backend labeling through a fresh scratch.
   auto TX = cantFail(makeTarget("x86"));
   auto TM = cantFail(makeTarget("mips"));
   std::vector<ir::IRFunction> CX = makeCorpus(TX->G);
   std::vector<ir::IRFunction> CM = makeCorpus(TM->G);
 
-  OnDemandAutomaton AX(TX->G, &TX->Dyn);
-  OnDemandAutomaton AM(TM->G, &TM->Dyn);
-  OnDemandAutomaton AMRef(TM->G, &TM->Dyn);
+  std::unique_ptr<LabelerBackend> BX = onDemandBackend(*TX);
+  std::unique_ptr<LabelerBackend> BM = onDemandBackend(*TM);
+  std::unique_ptr<LabelerBackend> BMRef = onDemandBackend(*TM);
 
-  LabelBatch Shared;
+  LabelerScratch Shared;
   for (ir::IRFunction &F : CX)
-    AX.labelFunctionBatched(F, Shared, nullptr);
+    BX->labelFunction(F, Shared);
 
-  LabelBatch Fresh;
+  LabelerScratch Fresh;
+  unsigned NumNts = TM->G.numNonterminals();
   for (std::size_t I = 0; I < CM.size(); ++I) {
-    AM.labelFunctionBatched(CM[I], Shared, nullptr);
-    Snapshot Got{labelingSnapshot(CM[I], TM->G.numNonterminals(), AM)};
-    AMRef.labelFunctionBatched(CM[I], Fresh, nullptr);
-    Snapshot Want{labelingSnapshot(CM[I], TM->G.numNonterminals(), AMRef)};
+    Snapshot Got{
+        labelingSnapshot(CM[I], NumNts, BM->labelFunction(CM[I], Shared))};
+    Snapshot Want{
+        labelingSnapshot(CM[I], NumNts, BMRef->labelFunction(CM[I], Fresh))};
     EXPECT_EQ(Got, Want) << "function " << I;
   }
 }
 
 TEST(L1Cache, PerWorkerL1sUnderConcurrencyBitIdentical) {
-  // Four workers, each with a private LabelBatch (as CompileService's
-  // workers hold one in their LabelerScratch), share one automaton. All
-  // shared-cache traffic goes through the seqlock; the labeling must be
-  // bit-identical to a serial pass, and every node is one probe.
+  // Four workers, each with a private LabelerScratch (as CompileService's
+  // workers hold one each), share one on-demand backend. All shared-cache
+  // traffic goes through the seqlock; the labeling must be bit-identical
+  // to a serial pass, and every node is one probe.
   auto T = cantFail(makeTarget("x86"));
   std::vector<ir::IRFunction> Corpus = makeCorpus(T->G);
 
@@ -510,15 +491,15 @@ TEST(L1Cache, PerWorkerL1sUnderConcurrencyBitIdentical) {
     Serial.labelFunction(F);
   Snapshot Ref = snapshot(T->G, Corpus, Serial);
 
-  OnDemandAutomaton Parallel(T->G, &T->Dyn);
+  std::unique_ptr<LabelerBackend> Parallel = onDemandBackend(*T);
   constexpr unsigned NumWorkers = 4;
   std::atomic<std::size_t> Next{0};
   std::vector<SelectionStats> Stats(NumWorkers);
   auto Work = [&](unsigned W) {
-    LabelBatch Batch;
+    LabelerScratch Scratch;
     std::size_t I;
     while ((I = Next.fetch_add(1, std::memory_order_relaxed)) < Corpus.size())
-      Parallel.labelFunctionBatched(Corpus[I], Batch, &Stats[W]);
+      Parallel->labelFunction(Corpus[I], Scratch, &Stats[W]);
   };
   std::vector<std::thread> Workers;
   for (unsigned W = 0; W < NumWorkers; ++W)
@@ -526,8 +507,8 @@ TEST(L1Cache, PerWorkerL1sUnderConcurrencyBitIdentical) {
   for (std::thread &Th : Workers)
     Th.join();
 
-  EXPECT_EQ(snapshot(T->G, Corpus, Parallel), Ref);
-  EXPECT_EQ(Serial.numStates(), Parallel.numStates());
+  EXPECT_EQ(snapshot(T->G, Corpus, automatonOf(*Parallel)), Ref);
+  EXPECT_EQ(Serial.numStates(), Parallel->numStates());
   SelectionStats Sum;
   for (const SelectionStats &S : Stats)
     Sum += S;

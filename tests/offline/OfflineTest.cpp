@@ -62,27 +62,10 @@ TEST(Offline, GenerationIsDeterministic) {
   EXPECT_EQ(A.fingerprint(), B.fingerprint());
 }
 
-TEST(Offline, ParallelGenerationBitIdenticalToSequential) {
-  // The tables are the product: representer indices, state ids, dense
-  // rows. All of them must be bit-for-bit identical for any worker count,
-  // not merely isomorphic.
-  Grammar G = cantFail(parseGrammar(test::runningExampleFixedText()));
-  CompiledTables Seq = cantFail(OfflineTableGen(G).generate(1));
-  for (unsigned Threads : {2u, 4u, 8u}) {
-    CompiledTables Par = cantFail(OfflineTableGen(G).generate(Threads));
-    EXPECT_EQ(Par.stats().NumStates, Seq.stats().NumStates);
-    EXPECT_EQ(Par.stats().NumTransitions, Seq.stats().NumTransitions);
-    EXPECT_EQ(Par.stats().StatesComputed, Seq.stats().StatesComputed);
-    EXPECT_EQ(Par.fingerprint(), Seq.fingerprint())
-        << "thread count " << Threads;
-    EXPECT_EQ(Par.stats().GenThreads, Threads);
-  }
-}
-
-TEST(Offline, ParallelGenerationBitIdenticalOnSynthesizedGrammar) {
-  // A synthesized grammar large enough that generation actually rounds
-  // through multi-tuple batches (the parallel path), unlike the 6-rule
-  // running example.
+TEST(Offline, GenerationIsDeterministicOnSynthesizedGrammar) {
+  // A synthesized grammar whose enumeration interleaves many states and
+  // representers, unlike the 6-rule running example: two runs must
+  // produce the same states, ids and rows, and do the same work.
   SynthesisParams P;
   P.NumLeafOps = 8;
   P.NumUnaryOps = 10;
@@ -91,13 +74,11 @@ TEST(Offline, ParallelGenerationBitIdenticalOnSynthesizedGrammar) {
   P.RulesPerOp = 5;
   P.Seed = 41;
   Grammar G = cantFail(synthesizeGrammar(P));
-  CompiledTables Seq = cantFail(OfflineTableGen(G).generate(1));
-  ASSERT_GT(Seq.stats().NumStates, 32u);
-  for (unsigned Threads : {2u, 8u}) {
-    CompiledTables Par = cantFail(OfflineTableGen(G).generate(Threads));
-    EXPECT_EQ(Par.fingerprint(), Seq.fingerprint())
-        << "thread count " << Threads;
-  }
+  CompiledTables A = cantFail(OfflineTableGen(G).generate());
+  CompiledTables B = cantFail(OfflineTableGen(G).generate());
+  ASSERT_GT(A.stats().NumStates, 32u);
+  EXPECT_EQ(A.stats().StatesComputed, B.stats().StatesComputed);
+  EXPECT_EQ(A.fingerprint(), B.fingerprint());
 }
 
 TEST(Offline, GenerationFingerprintsArePinned) {
@@ -284,7 +265,8 @@ TEST(Offline, DumpLoadRoundTripsTheAutomaton) {
   EXPECT_EQ(L.stats().NumStates, T.stats().NumStates);
   EXPECT_EQ(L.stats().NumTransitions, T.stats().NumTransitions);
   EXPECT_EQ(L.stats().TableBytes, T.stats().TableBytes);
-  EXPECT_EQ(L.stats().GenThreads, 0u); // Marks loaded-not-generated.
+  EXPECT_TRUE(L.stats().Loaded);
+  EXPECT_FALSE(T.stats().Loaded);
 
   // Loaded tables label exactly like the generating tables.
   ir::IRFunction F;
@@ -355,24 +337,21 @@ TEST(Offline, SubsetGenerationCoversOnlyThePartition) {
   EXPECT_NE(N.partitionFingerprint(), T.partitionFingerprint());
 }
 
-TEST(Offline, SubsetGenerationIsDeterministicAcrossThreads) {
+TEST(Offline, SubsetGenerationIsDeterministic) {
   Grammar G = cantFail(parseGrammar(test::runningExampleText()));
   GrammarPartition P = GrammarPartition::compute(G);
-  CompiledTables Seq =
-      cantFail(OfflineTableGen(G).generateSubset(P.InPartition, 1));
-  for (unsigned Threads : {2u, 8u}) {
-    CompiledTables Par =
-        cantFail(OfflineTableGen(G).generateSubset(P.InPartition, Threads));
-    EXPECT_EQ(Par.fingerprint(), Seq.fingerprint())
-        << "thread count " << Threads;
-  }
+  CompiledTables A =
+      cantFail(OfflineTableGen(G).generateSubset(P.InPartition));
+  CompiledTables B =
+      cantFail(OfflineTableGen(G).generateSubset(P.InPartition));
+  EXPECT_EQ(A.fingerprint(), B.fingerprint());
 }
 
 TEST(Offline, PartitionedDumpLoadRoundTrips) {
   // The hybrid's persistence path: partitioned tables dump and load over
   // the *dynamic-cost* grammar — legal because every member operator is
   // dyn-free — and the load reconstructs membership, fingerprints, and
-  // states exactly, without regenerating (GenThreads == 0 is the marker).
+  // states exactly, without regenerating (Loaded is the marker).
   Grammar G = cantFail(parseGrammar(test::runningExampleText()));
   GrammarPartition P = GrammarPartition::compute(G);
   CompiledTables T =
@@ -386,7 +365,7 @@ TEST(Offline, PartitionedDumpLoadRoundTrips) {
   EXPECT_EQ(L.partitionMembership(), P.InPartition);
   EXPECT_TRUE(L.isPartitioned());
   EXPECT_EQ(L.stats().NumStates, T.stats().NumStates);
-  EXPECT_EQ(L.stats().GenThreads, 0u); // Loaded, not regenerated.
+  EXPECT_TRUE(L.stats().Loaded);
 }
 
 TEST(Offline, LoadRejectsCorruptedPartitionMembership) {

@@ -72,7 +72,6 @@ struct ServeOptions {
   unsigned QueueCapacity = 0; // 0 = service default.
   bool Json = false;
   std::string TablesPath;
-  unsigned GenThreads = 0;
   std::string InputPath; // Empty = stdin.
   // Network mode (--listen): serve the same wire format over TCP instead
   // of stdin/stdout, one lane per connection-selected grammar and kind.
@@ -121,8 +120,6 @@ int usage(const char *Argv0, int Exit) {
       "                        tables from PATH if present (fingerprint-\n"
       "                        and partition-checked), else generate and\n"
       "                        save them there\n"
-      "  --gen-threads=N       offline table generation workers (default:\n"
-      "                        hardware concurrency)\n"
       "  --listen=PORT         serve over TCP instead of stdin/stdout\n"
       "                        (0 = ephemeral port). Clients speak the same\n"
       "                        wire format, may pick a backend per\n"
@@ -227,12 +224,6 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts, int &ExitCode) {
       }
     } else if (startsWith(Arg, "--tables=")) {
       Opts.TablesPath = std::string(Value("--tables="));
-    } else if (startsWith(Arg, "--gen-threads=")) {
-      if (!parseUnsigned(Value("--gen-threads="), Opts.GenThreads)) {
-        std::fprintf(stderr, "invalid --gen-threads value\n");
-        ExitCode = usage(Argv[0], 2);
-        return false;
-      }
     } else if (startsWith(Arg, "--listen=")) {
       if (!parseUnsigned(Value("--listen="), Opts.Port) ||
           Opts.Port > 65535) {
@@ -348,7 +339,6 @@ Expected<std::unique_ptr<LabelerBackend>>
 makeBackend(const ServeOptions &Opts, const Grammar &G,
             const DynCostTable *Dyn) {
   LabelerBackend::Options BOpts;
-  BOpts.OfflineGenThreads = Opts.GenThreads;
   const bool TabledKind = Opts.Backend == BackendKind::Offline ||
                           Opts.Backend == BackendKind::Hybrid;
 
@@ -455,7 +445,6 @@ int serveNetwork(const ServeOptions &Opts, Target &T) {
   registry::GrammarRegistry::Options RO;
   RO.Dir = Opts.RegistryDir;
   RO.MemBudgetBytes = static_cast<std::uint64_t>(Opts.MemBudgetMb) << 20;
-  RO.BackendOpts.OfflineGenThreads = Opts.GenThreads;
   RO.LoadSnapshots = !Opts.NoSnapshots;
   registry::GrammarRegistry Registry(std::move(RO));
   // The target is the default grammar. --fixed registers the stripped

@@ -58,7 +58,7 @@ public:
     std::size_t TableBytes = 0;     ///< Tables + representer maps.
     double GenerationMs = 0;        ///< Wall time of generation.
     std::uint64_t StatesComputed = 0; ///< Including duplicates re-derived.
-    bool Loaded = false;              ///< Read by load(), not generated.
+    bool Loaded = false;              ///< Set by load(): not generated.
   };
 
   const State *stateById(StateId Id) const { return States->byId(Id); }

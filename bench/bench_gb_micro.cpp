@@ -67,11 +67,11 @@ void BM_LabelOnDemandCold(benchmark::State &State) {
 
 void BM_LabelOfflineTables(benchmark::State &State) {
   Env &E = env();
-  static CompiledTables Tables =
-      cantFail(OfflineTableGen(E.T->Fixed).generate());
-  TableLabeler L(Tables);
+  static std::unique_ptr<LabelerBackend> Off =
+      cantFail(LabelerBackend::create(BackendKind::Offline, E.T->Fixed));
+  LabelerScratch Scratch;
   for (auto _ : State)
-    L.labelFunction(E.FFixed);
+    Off->labelFunction(E.FFixed, Scratch);
   State.SetItemsProcessed(State.iterations() * E.FFixed.size());
 }
 

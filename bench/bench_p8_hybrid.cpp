@@ -185,9 +185,10 @@ int main(int Argc, char **Argv) {
   }
 
   std::printf(
-      "Expected shape: on the static grammar the hybrid's off%% column\n"
-      "reads 100 (every node is one direct table index) and its warm\n"
-      "throughput tracks the offline row. On the mixed-cost grammar —\n"
+      "Expected shape: on the static grammar the offline and hybrid\n"
+      "off%% columns both read 100 (every node is one direct table index,\n"
+      "through the same offlineResolve) and the hybrid's warm throughput\n"
+      "tracks the offline row. On the mixed-cost grammar —\n"
       "where pure offline tables cannot run at all — off%% is the static\n"
       "share of the workload, and every hybrid row stays byte-identical\n"
       "to dp. The exit code gates both identities and a nonzero\n"

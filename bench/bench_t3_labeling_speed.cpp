@@ -21,7 +21,8 @@ using namespace odburg::workload;
 int main(int Argc, char **Argv) {
   parseBenchArgs(Argc, Argv);
   auto T = cantFail(targets::makeTarget("x86"));
-  CompiledTables Tables = cantFail(OfflineTableGen(T->Fixed).generate());
+  auto Off = cantFail(LabelerBackend::create(BackendKind::Offline, T->Fixed));
+  LabelerScratch Scratch;
 
   TablePrinter Work("T3a. Labeling work units per node (x86)");
   Work.setHeader({"benchmark", "nodes", "dp", "ondemand", "offline",
@@ -50,10 +51,10 @@ int main(int Argc, char **Argv) {
     A.labelFunction(F, &ODStats);
     std::uint64_t ODNs = bestOfNs(3, [&] { A.labelFunction(F); });
 
-    TableLabeler Off(Tables);
     SelectionStats OffStats;
-    Off.labelFunction(FFixed, &OffStats);
-    std::uint64_t OffNs = bestOfNs(3, [&] { Off.labelFunction(FFixed); });
+    Off->labelFunction(FFixed, Scratch, &OffStats);
+    std::uint64_t OffNs =
+        bestOfNs(3, [&] { Off->labelFunction(FFixed, Scratch); });
 
     Work.addRow(
         {P.Name, formatThousands(F.size()),

@@ -48,9 +48,10 @@ int main(int Argc, char **Argv) {
       CompiledTables Tables = cantFail(OfflineTableGen(T->Fixed).generate());
       (void)Tables;
     });
-    CompiledTables Tables = cantFail(OfflineTableGen(T->Fixed).generate());
-    TableLabeler Off(Tables);
-    std::uint64_t OffNs = bestOfNs(3, [&] { Off.labelFunction(F); });
+    auto Off =
+        cantFail(LabelerBackend::create(BackendKind::Offline, T->Fixed));
+    LabelerScratch Scratch;
+    std::uint64_t OffNs = bestOfNs(3, [&] { Off->labelFunction(F, Scratch); });
 
     auto Ms = [](std::uint64_t Ns) { return formatFixed(Ns / 1e6, 3); };
     Table.addRow({formatThousands(F.size()), Ms(DPNs), Ms(ODNs), Ms(GenNs),

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hybrid backend's bridge between the two automata of the paper:
-/// a non-owning, flattened view of an offline table set (generated over
-/// the grammar's static-cost operator partition, see offline/ and
-/// select/Partition.h) that the on-demand automaton can dispatch through
-/// without depending on the offline layer.
+/// The one dense-table index: a non-owning, flattened view of an offline
+/// table set (offline/) and offlineResolve, which labels one node through
+/// it without the core automaton depending on the offline layer. The
+/// offline backend labels every node with it over a full generation; the
+/// hybrid's automaton tries it first over the grammar's static-cost
+/// partition (select/Partition.h).
 ///
-/// The bridge rests on one invariant the hybrid backend establishes
+/// The hybrid bridge rests on one invariant its backend establishes
 /// before any labeling: the on-demand StateTable is *seeded* with the
 /// partition's K offline states, in offline id order, so offline state
 /// id i and on-demand state id i denote bit-identical states. Hash
@@ -34,6 +35,7 @@
 
 #include "core/State.h"
 #include "grammar/Ids.h"
+#include "ir/Node.h"
 
 #include <cstdint>
 #include <vector>
@@ -42,8 +44,8 @@ namespace odburg {
 
 /// Flattened per-operator offline-table pointers, built by
 /// CompiledTables::makePartitionView(). Non-owning: the CompiledTables it
-/// was built from must outlive every automaton the view is attached to
-/// (the hybrid backend owns both, tables first).
+/// was built from must outlive every use of the view (each tables-bearing
+/// backend owns both, tables first).
 struct OfflinePartitionView {
   /// Offline table rows for one operator. Fixed-width arrays because the
   /// partition policy admits only arity <= 4 (the offline generator's
@@ -70,6 +72,30 @@ struct OfflinePartitionView {
   /// < K is an offline state and indexes the RepMaps directly.
   StateId NumStates = 0;
 };
+
+/// Resolves one node through the tables: a direct leaf-state read or one
+/// dense table index over representer maps. Returns InvalidState when the
+/// node is outside the tables' coverage — operator not in the partition,
+/// or a child labeled by a state the offline enumeration never saw (id >=
+/// NumStates, i.e. a dyn-cost subtree's state) — where the hybrid falls
+/// through to its on-demand probe. Over a full generation it never misses.
+inline StateId offlineResolve(const OfflinePartitionView &PV,
+                              const ir::Node &N) {
+  const OfflinePartitionView::OpEntry &E = PV.Ops[N.op()];
+  if (!E.InPartition)
+    return InvalidState;
+  unsigned NumChildren = N.numChildren();
+  if (NumChildren == 0)
+    return E.Leaf;
+  std::size_t Index = 0;
+  for (unsigned P = 0; P < NumChildren; ++P) {
+    StateId C = N.child(P)->label();
+    if (C >= PV.NumStates)
+      return InvalidState;
+    Index = Index * E.Dims[P] + E.RepMaps[P][C];
+  }
+  return E.Table[Index];
+}
 
 } // namespace odburg
 

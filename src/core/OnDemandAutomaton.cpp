@@ -30,37 +30,6 @@ OnDemandAutomaton::OnDemandAutomaton(const Grammar &G, const DynCostTable *Dyn,
       std::min(this->Opts.MaxStates, StateTable::maxCapacity() - 4096);
 }
 
-namespace {
-
-/// Resolves one node through the offline-partition tables: a direct
-/// leaf-state read or one dense table index over representer maps.
-/// Returns InvalidState when the node is outside the partition's
-/// coverage — operator not in the partition, or a child labeled by a
-/// state the offline enumeration never saw (id >= NumStates, i.e. a
-/// dyn-cost subtree's state) — in which case the caller falls through
-/// to the normal on-demand probe, which resolves to the exact same
-/// state the tables would have (delta normalization makes offline and
-/// on-demand states bit-equal; the seeded id space makes ids agree).
-inline StateId offlineResolve(const OfflinePartitionView &PV,
-                              const ir::Node &N) {
-  const OfflinePartitionView::OpEntry &E = PV.Ops[N.op()];
-  if (!E.InPartition)
-    return InvalidState;
-  unsigned NumChildren = N.numChildren();
-  if (NumChildren == 0)
-    return E.Leaf;
-  std::size_t Index = 0;
-  for (unsigned P = 0; P < NumChildren; ++P) {
-    StateId C = N.child(P)->label();
-    if (C >= PV.NumStates)
-      return InvalidState;
-    Index = Index * E.Dims[P] + E.RepMaps[P][C];
-  }
-  return E.Table[Index];
-}
-
-} // namespace
-
 void OnDemandAutomaton::seedStatesFrom(const StateTable &Src) {
   assert(States.size() == 0 && "seeding requires an empty state table");
   assert(Src.numNonterminals() == G.numNonterminals() &&

@@ -129,7 +129,6 @@ public:
   void attachOfflinePartition(const OfflinePartitionView *PV) {
     Partition = PV;
   }
-  const OfflinePartitionView *offlinePartition() const { return Partition; }
 
   /// \name Labeling interface
   /// @{

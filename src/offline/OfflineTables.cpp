@@ -115,6 +115,7 @@ private:
   std::vector<std::unordered_map<std::uint64_t, StateId>> Trans; // By op.
   std::deque<StateId> Worklist;
   SelectionStats GenWork;
+  std::vector<std::uint32_t> Proj; ///< processState's reused buffer.
 };
 
 Expected<CompiledTables> Generator::run() {
@@ -268,8 +269,9 @@ Error Generator::processState(StateId SId) {
     for (unsigned P = 0; P < G.operatorArity(Op); ++P) {
       PosData &D = Pos[Op][P];
       // Project the state onto the position's relevant nonterminals and
-      // re-normalize so that positions see representers, not raw states.
-      std::vector<std::uint32_t> Proj(D.Relevant.size());
+      // re-normalize so that positions see representers, not raw states;
+      // the map copies the reused buffer only for a new projection.
+      Proj.resize(D.Relevant.size());
       Cost Min = Cost::infinity();
       for (std::size_t I = 0; I < D.Relevant.size(); ++I)
         Min = std::min(Min, S->costOf(D.Relevant[I]));
@@ -279,10 +281,14 @@ Error Generator::processState(StateId SId) {
           C = C - Min;
         Proj[I] = C.raw();
       }
-      auto [It, New] = D.RepByProj.try_emplace(
-          std::move(Proj), static_cast<std::uint32_t>(D.RepVectors.size()));
       if (D.RepOfState.size() <= SId)
         D.RepOfState.resize(SId + 1, 0);
+      auto It = D.RepByProj.find(Proj);
+      bool New = It == D.RepByProj.end();
+      if (New)
+        It = D.RepByProj
+                 .emplace(Proj, static_cast<std::uint32_t>(D.RepVectors.size()))
+                 .first;
       D.RepOfState[SId] = It->second;
       if (!New)
         continue;
@@ -706,23 +712,4 @@ Expected<CompiledTables> CompiledTables::load(std::istream &IS,
   St.StatesComputed = 0;
   St.Loaded = true;
   return Out;
-}
-
-void TableLabeler::labelFunction(ir::IRFunction &F, SelectionStats *Stats) {
-  SelectionStats Local;
-  SelectionStats &S = Stats ? *Stats : Local;
-  SmallVector<StateId, 4> ChildStates;
-  for (ir::Node *N : F.nodes()) {
-    ++S.NodesLabeled;
-    ++S.TableLookups;
-    unsigned NumChildren = N->numChildren();
-    if (NumChildren == 0) {
-      N->setLabel(T.leafState(N->op()));
-      continue;
-    }
-    ChildStates.clear();
-    for (unsigned I = 0; I < NumChildren; ++I)
-      ChildStates.push_back(N->child(I)->label());
-    N->setLabel(T.transition(N->op(), ChildStates.data(), NumChildren));
-  }
 }

@@ -18,6 +18,13 @@
 ///
 ///   state = Table[op][RepMap[op][0][s0]][RepMap[op][1][s1]]
 ///
+/// That index lives in one place, core/OfflinePartition.h's
+/// offlineResolve over the view makePartitionView() builds; the offline
+/// and hybrid backends (select/LabelerBackend.h) both label through it.
+/// Both also share one table format: a full generation is the subset
+/// generation over every operator, so a dyn-free grammar's tables serve
+/// either backend.
+///
 /// Dynamic costs are fundamentally unsupported here — the tables are fixed
 /// before the subject tree exists. This is the inflexibility that the
 /// on-demand automaton (core/) removes; benches quantify the other side of
@@ -32,8 +39,6 @@
 #include "core/State.h"
 #include "core/StateComputer.h"
 #include "grammar/Grammar.h"
-#include "ir/Node.h"
-#include "select/Labeling.h"
 #include "support/Error.h"
 #include "support/Statistic.h"
 
@@ -63,19 +68,6 @@ public:
 
   const State *stateById(StateId Id) const { return States->byId(Id); }
 
-  /// The start state for leaf operator \p Op.
-  StateId leafState(OperatorId Op) const { return LeafStates[Op]; }
-
-  /// Transition lookup for an interior node.
-  StateId transition(OperatorId Op, const StateId *ChildStates,
-                     unsigned NumChildren) const {
-    const OpTable &T = OpTables[Op];
-    std::size_t Index = 0;
-    for (unsigned P = 0; P < NumChildren; ++P)
-      Index = Index * T.Dims[P] + T.RepMaps[P][ChildStates[P]];
-    return T.Table[Index];
-  }
-
   const Stats &stats() const { return GenStats; }
   const StateTable &stateTable() const { return *States; }
 
@@ -85,12 +77,8 @@ public:
   /// their member operators; full generations report every operator as a
   /// member.
   /// @{
-  bool inPartition(OperatorId Op) const {
-    return InPartition.empty() || InPartition[Op] != 0;
-  }
-  /// One byte per operator, 1 = member. Empty means "all operators"
-  /// (never produced by the current generator/loader, tolerated for
-  /// safety).
+  bool inPartition(OperatorId Op) const { return InPartition[Op] != 0; }
+  /// One byte per operator, 1 = member.
   const std::vector<std::uint8_t> &partitionMembership() const {
     return InPartition;
   }
@@ -98,15 +86,15 @@ public:
   bool isPartitioned() const;
   /// Hash of the membership vector alone — the key under which a
   /// partitioned dump is valid. dump() records it; load() re-validates
-  /// it; the hybrid backend compares it against the partition it
-  /// computed from the grammar before trusting loaded tables.
+  /// it. Whether the membership suits a backend is
+  /// LabelerBackend::createWithTables' check.
   std::uint64_t partitionFingerprint() const;
   /// @}
 
-  /// Flattens the tables into the non-owning per-operator view the
-  /// on-demand automaton dispatches through (core/OfflinePartition.h).
-  /// The view borrows this object's storage: keep the CompiledTables
-  /// alive, and do not move it, while the view is attached anywhere.
+  /// Flattens the tables into the non-owning per-operator view that
+  /// offlineResolve indexes (core/OfflinePartition.h). The view borrows
+  /// this object's storage: keep the CompiledTables alive, and do not
+  /// move it, while the view is in use.
   OfflinePartitionView makePartitionView() const;
 
   /// Content fingerprint over everything labeling can observe: every
@@ -122,8 +110,8 @@ public:
   /// partitionFingerprint(): the header records both so load() can prove
   /// it reconstructed the exact same automaton over the exact same
   /// operator subset. Generation cost is thereby paid once per grammar
-  /// across processes (odburg-serve --tables, both the pure offline
-  /// backend and the hybrid's static partition). Fails on stream write
+  /// across processes (registry::createSpooledBackend, behind the
+  /// registry spool and odburg-serve --tables). Fails on stream write
   /// errors.
   Error dump(std::ostream &OS) const;
 
@@ -138,8 +126,8 @@ public:
   /// ErrorKind::MalformedInput except dynamic costs
   /// (ErrorKind::UnsupportedDynamicCosts). The loaded stats report
   /// Loaded, and GenerationMs is the load time. Whether the loaded
-  /// partition is the one the caller wants is the caller's check (compare
-  /// partitionMembership(); the hybrid backend does).
+  /// partition is the one the caller wants is the caller's check
+  /// (LabelerBackend::createWithTables makes it).
   static Expected<CompiledTables> load(std::istream &IS, const Grammar &G);
 
 private:
@@ -197,24 +185,6 @@ public:
 private:
   const Grammar &G;
   unsigned MaxStates;
-};
-
-/// Labels functions by pure table lookup over CompiledTables.
-class TableLabeler final : public Labeling {
-public:
-  explicit TableLabeler(const CompiledTables &T) : T(T) {}
-
-  void labelFunction(ir::IRFunction &F, SelectionStats *Stats = nullptr);
-
-  RuleId ruleFor(const ir::Node &N, NonterminalId Nt) const override {
-    return T.stateById(N.label())->ruleOf(Nt);
-  }
-  Cost costFor(const ir::Node &N, NonterminalId Nt) const override {
-    return T.stateById(N.label())->costOf(Nt);
-  }
-
-private:
-  const CompiledTables &T;
 };
 
 } // namespace odburg

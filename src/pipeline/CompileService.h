@@ -153,8 +153,8 @@ struct ServiceStats {
                                    static_cast<double>(Label.CacheProbes)
                              : 0.0;
   }
-  /// Share of labeled nodes the hybrid backend resolved by direct
-  /// offline-partition table indexing; 0 for every other backend.
+  /// Share of labeled nodes resolved by direct offline-table indexing:
+  /// 1 on the offline backend, the static share on the hybrid, 0 else.
   double offlineHitRate() const {
     return Label.NodesLabeled ? static_cast<double>(Label.OfflineHits) /
                                     static_cast<double>(Label.NodesLabeled)

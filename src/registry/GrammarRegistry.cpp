@@ -79,6 +79,41 @@ Error writeSpoolFile(const std::string &Path, WriteBody &&Body) {
 
 } // namespace
 
+Expected<std::unique_ptr<LabelerBackend>> odburg::registry::createSpooledBackend(
+    BackendKind K, const Grammar &G, const DynCostTable *Dyn,
+    const LabelerBackend::Options &Opts, const std::string &TablesPath,
+    bool Save, TablesSpoolReport &Report) {
+  if ((K != BackendKind::Offline && K != BackendKind::Hybrid) ||
+      TablesPath.empty())
+    return LabelerBackend::create(K, G, Dyn, Opts);
+
+  if (fault::shouldFail(fault::Site::RegistryLoad)) {
+    Report.Rejected = "fault injection: registry-load";
+  } else if (std::ifstream IS{TablesPath, std::ios::binary}) {
+    Expected<CompiledTables> T = CompiledTables::load(IS, G);
+    Expected<std::unique_ptr<LabelerBackend>> B =
+        T ? LabelerBackend::createWithTables(K, G, Dyn, Opts, std::move(*T))
+          : Expected<std::unique_ptr<LabelerBackend>>(T.takeError());
+    if (B) {
+      Report.Loaded = true;
+      return B;
+    }
+    Report.Rejected = B.message();
+  }
+
+  Expected<std::unique_ptr<LabelerBackend>> B =
+      LabelerBackend::create(K, G, Dyn, Opts);
+  if (!B || !Save)
+    return B;
+  const CompiledTables &T = *(*B)->tables();
+  if (Error W = writeSpoolFile(TablesPath,
+                               [&](std::ostream &OS) { return T.dump(OS); }))
+    Report.SaveError = W.message();
+  else
+    Report.Saved = true;
+  return B;
+}
+
 //===----------------------------------------------------------------------===//
 // GrammarEntry
 //===----------------------------------------------------------------------===//
@@ -127,54 +162,16 @@ Expected<LabelerBackend *> GrammarEntry::backend(BackendKind K) {
     WarmPath = RO.Dir + "/" + Name + WarmSuffix;
   }
 
-  // Tables-bearing backends first try the spool; a missing, corrupt,
-  // mismatched, or fault-injected dump degrades to regeneration, and the
-  // regenerated tables are written back so the cost is paid once.
-  std::unique_ptr<LabelerBackend> Built;
-  bool LoadedTables = false;
-  if ((K == BackendKind::Offline || K == BackendKind::Hybrid) &&
-      !TablesPath.empty() && !fault::shouldFail(fault::Site::RegistryLoad)) {
-    std::ifstream IS(TablesPath, std::ios::binary);
-    if (IS) {
-      Expected<CompiledTables> T = CompiledTables::load(IS, G);
-      if (T) {
-        if (K == BackendKind::Offline) {
-          Built = std::make_unique<OfflineBackend>(std::move(*T));
-          LoadedTables = true;
-        } else {
-          Expected<std::unique_ptr<HybridBackend>> H =
-              HybridBackend::createWithTables(G, D, RO.BackendOpts,
-                                              std::move(*T));
-          if (H) {
-            Built = std::move(*H);
-            LoadedTables = true;
-          }
-        }
-      }
-    }
-  }
-  if (LoadedTables)
+  // A refused dump degrades to regeneration; a failed respool only costs
+  // the next process a regeneration.
+  TablesSpoolReport Spool;
+  Expected<std::unique_ptr<LabelerBackend>> B = createSpooledBackend(
+      K, G, D, RO.BackendOpts, TablesPath, RO.SaveTables, Spool);
+  if (!B)
+    return B.takeError();
+  std::unique_ptr<LabelerBackend> Built = std::move(*B);
+  if (Spool.Loaded)
     Owner.TablesLoads.fetch_add(1, std::memory_order_relaxed);
-
-  if (!Built) {
-    Expected<std::unique_ptr<LabelerBackend>> B =
-        LabelerBackend::create(K, G, D, RO.BackendOpts);
-    if (!B)
-      return B.takeError();
-    Built = std::move(*B);
-    // Respool freshly generated tables, best-effort: a failed write only
-    // costs the next process a regeneration.
-    if (RO.SaveTables && !TablesPath.empty() &&
-        (K == BackendKind::Offline || K == BackendKind::Hybrid)) {
-      const CompiledTables &T =
-          K == BackendKind::Offline
-              ? static_cast<const OfflineBackend &>(*Built).tables()
-              : static_cast<const HybridBackend &>(*Built).tables();
-      Error W = writeSpoolFile(TablesPath,
-                               [&](std::ostream &OS) { return T.dump(OS); });
-      W.consume();
-    }
-  }
 
   // Warm-automaton restore: only ever additive (the snapshot replays
   // states and memoized transitions), so a failure is a cold start, never

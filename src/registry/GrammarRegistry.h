@@ -80,6 +80,28 @@ struct RegistryStats {
   bool MemoryPressure = false;
 };
 
+/// What createSpooledBackend() did with its tables file; a refused load
+/// may be followed by a save.
+struct TablesSpoolReport {
+  bool Loaded = false;   ///< The backend labels from the file's tables.
+  bool Saved = false;    ///< Generated tables were written to the file.
+  std::string Rejected;  ///< Why a tried load was refused; empty if not.
+  std::string SaveError; ///< Why the save failed; empty if not.
+};
+
+/// Builds the backend of kind \p K. The offline and hybrid kinds first
+/// load \p TablesPath (CompiledTables::load, then
+/// LabelerBackend::createWithTables); a missing or refused file
+/// (fault::Site::RegistryLoad included) degrades to generation, written
+/// back atomically (tmp file + rename) when \p Save is set. Other kinds,
+/// and an empty path, just create(). The registry spool and odburg-serve
+/// --tables both build tables-backed backends here.
+Expected<std::unique_ptr<LabelerBackend>>
+createSpooledBackend(BackendKind K, const Grammar &G, const DynCostTable *Dyn,
+                     const LabelerBackend::Options &Opts,
+                     const std::string &TablesPath, bool Save,
+                     TablesSpoolReport &Report);
+
 /// One resident grammar version: identity, the grammar (plus its
 /// dyn-free variant for the offline lane, when available), and the
 /// lazily created shared backends. Reached only through a Lease.

@@ -6,6 +6,8 @@
 
 #include "select/LabelerBackend.h"
 
+#include "select/Partition.h"
+
 using namespace odburg;
 
 const char *odburg::backendName(BackendKind K) {
@@ -48,57 +50,64 @@ LabelerBackend::create(BackendKind K, const Grammar &G,
   switch (K) {
   case BackendKind::DP:
     return std::unique_ptr<LabelerBackend>(new DPBackend(G, Dyn));
-  case BackendKind::Offline: {
-    // The generator itself reports UnsupportedDynamicCosts for dynamic
-    // grammars and StateLimitExceeded past the bound; both propagate with
-    // their kind intact so drivers can dispatch (e.g. fall back to the
-    // on-demand backend or retry against Target::Fixed).
+  case BackendKind::Offline:
+  case BackendKind::Hybrid: {
+    // Generation failures (UnsupportedDynamicCosts for offline over a
+    // dyn-cost grammar, StateLimitExceeded) propagate with their kind
+    // intact so drivers can dispatch (e.g. retry against Target::Fixed).
+    OfflineTableGen Gen(G, Opts.OfflineMaxStates);
     Expected<CompiledTables> Tables =
-        OfflineTableGen(G, Opts.OfflineMaxStates).generate();
+        K == BackendKind::Offline
+            ? Gen.generate()
+            : Gen.generateSubset(GrammarPartition::compute(G).InPartition);
     if (!Tables)
       return Tables.takeError();
-    return std::unique_ptr<LabelerBackend>(
-        new OfflineBackend(std::move(*Tables)));
+    return createWithTables(K, G, Dyn, Opts, std::move(*Tables));
   }
   case BackendKind::OnDemand:
     return std::unique_ptr<LabelerBackend>(new OnDemandBackend(G, Dyn, Opts));
-  case BackendKind::Hybrid: {
-    Expected<std::unique_ptr<HybridBackend>> B =
-        HybridBackend::create(G, Dyn, Opts);
-    if (!B)
-      return B.takeError();
-    return std::unique_ptr<LabelerBackend>(std::move(*B));
-  }
   }
   return Error::make(ErrorKind::UnknownBackend, "invalid backend kind");
 }
 
-Expected<std::unique_ptr<HybridBackend>>
-HybridBackend::create(const Grammar &G, const DynCostTable *Dyn,
-                      const Options &Opts) {
-  GrammarPartition P = GrammarPartition::compute(G);
-  // Subset generation over the static partition: dyn-cost operators are
-  // excluded by construction, so the only reachable failures are the
-  // structural ones (state-limit blowouts), which propagate typed.
-  Expected<CompiledTables> Tables =
-      OfflineTableGen(G, Opts.OfflineMaxStates).generateSubset(P.InPartition);
-  if (!Tables)
-    return Tables.takeError();
-  return std::unique_ptr<HybridBackend>(
-      new HybridBackend(G, Dyn, Opts, std::move(P), std::move(*Tables)));
+Expected<std::unique_ptr<LabelerBackend>>
+LabelerBackend::createWithTables(BackendKind K, const Grammar &G,
+                                 const DynCostTable *Dyn, const Options &Opts,
+                                 CompiledTables Tables) {
+  if (K != BackendKind::Offline && K != BackendKind::Hybrid)
+    return Error::make(ErrorKind::MalformedInput,
+                       std::string("the ") + backendName(K) +
+                           " backend does not label from offline tables");
+  // The offline backend has no fallback for an operator without rows.
+  std::vector<std::uint8_t> Want =
+      K == BackendKind::Offline
+          ? std::vector<std::uint8_t>(G.numOperators(), 1)
+          : GrammarPartition::compute(G).InPartition;
+  if (Tables.partitionMembership() != Want)
+    return Error::make(ErrorKind::MalformedInput,
+                       std::string("offline tables: partition shape mismatch "
+                                   "— the tables cover a different operator "
+                                   "subset than the ") +
+                           backendName(K) +
+                           " backend labels with; regenerate them");
+  if (K == BackendKind::Offline)
+    return std::unique_ptr<LabelerBackend>(
+        new OfflineBackend(std::move(Tables)));
+  return std::unique_ptr<LabelerBackend>(
+      new HybridBackend(G, Dyn, Opts, std::move(Tables)));
 }
 
-Expected<std::unique_ptr<HybridBackend>>
-HybridBackend::createWithTables(const Grammar &G, const DynCostTable *Dyn,
-                                const Options &Opts, CompiledTables Tables) {
-  GrammarPartition P = GrammarPartition::compute(G);
-  if (Tables.partitionMembership() != P.InPartition)
-    return Error::make(
-        ErrorKind::MalformedInput,
-        "offline tables: partition shape mismatch — the tables cover a "
-        "different operator subset than this grammar's static partition "
-        "(" + std::to_string(P.numStatic()) +
-            " static operators expected); regenerate them");
-  return std::unique_ptr<HybridBackend>(
-      new HybridBackend(G, Dyn, Opts, std::move(P), std::move(Tables)));
+const Labeling &OfflineBackend::labelFunction(ir::IRFunction &F,
+                                              LabelerScratch &,
+                                              SelectionStats *Stats) {
+  for (ir::Node *N : F.nodes()) {
+    StateId Id = offlineResolve(View, *N);
+    assert(Id != InvalidState && "full offline tables resolve every node");
+    N->setLabel(Id);
+  }
+  if (Stats) {
+    Stats->NodesLabeled += F.size();
+    Stats->OfflineHits += F.size();
+  }
+  return *this;
 }

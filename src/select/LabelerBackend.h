@@ -22,6 +22,12 @@
 ///     same scratch labels the next function, which is exactly the
 ///     label→reduce→emit lifetime of the compile pipeline.
 ///
+/// The two tables-bearing backends, offline and hybrid, share one table
+/// format, one table index (offlineResolve, core/OfflinePartition.h) and
+/// one constructor from existing tables (createWithTables(), which
+/// create() also goes through after generating); tables() exposes their
+/// tables for persistence without a cast.
+///
 /// pipeline/CompileService owns or borrows one backend (Options::Backend)
 /// and is otherwise engine-agnostic; tools/odburg-run and
 /// tools/odburg-serve expose the choice as --backend so the paper's
@@ -36,7 +42,6 @@
 #include "core/OnDemandAutomaton.h"
 #include "offline/OfflineTables.h"
 #include "select/DPLabeler.h"
-#include "select/Partition.h"
 #include "select/DynCost.h"
 #include "select/Labeling.h"
 #include "support/Error.h"
@@ -134,6 +139,11 @@ public:
   /// Approximate shared-state footprint in bytes.
   virtual std::size_t memoryBytes() const = 0;
 
+  /// The compiled tables the backend labels from: all of them for the
+  /// offline backend, the static partition's for the hybrid (dump() these
+  /// to persist them). Null for dp and ondemand.
+  virtual const CompiledTables *tables() const { return nullptr; }
+
   /// Builds the backend for \p G. \p Dyn may be null for grammars without
   /// dynamic costs; it must outlive the backend, as must \p G. Fails with
   /// ErrorKind::UnsupportedDynamicCosts when the offline backend is asked
@@ -147,6 +157,16 @@ public:
   static Expected<std::unique_ptr<LabelerBackend>>
   create(BackendKind K, const Grammar &G, const DynCostTable *Dyn,
          const Options &Opts);
+
+  /// As create() for the offline or hybrid kind, over already generated
+  /// (typically disk-loaded) \p Tables. Their partition membership must be
+  /// the one \p K labels with — every operator for offline,
+  /// GrammarPartition::compute(G) for hybrid — else they belong to another
+  /// backend, grammar or policy version. A mismatch, and any other \p K,
+  /// fail with ErrorKind::MalformedInput.
+  static Expected<std::unique_ptr<LabelerBackend>>
+  createWithTables(BackendKind K, const Grammar &G, const DynCostTable *Dyn,
+                   const Options &Opts, CompiledTables Tables);
 };
 
 /// iburg-style DP labeling behind the backend interface. All shared state
@@ -169,31 +189,38 @@ private:
   DPLabeler Labeler;
 };
 
-/// burg-style offline tables behind the backend interface. The tables are
-/// generated at create() time; labeling is pure array indexing and the
+/// burg-style offline tables behind the backend interface. The tables
+/// cover every operator and exist in full before any input; each node is
+/// labeled by offlineResolve (core/OfflinePartition.h), the same table
+/// index the hybrid's automaton uses, and counted as an OfflineHit. The
 /// backend itself is the Labeling (states live in node label slots).
-class OfflineBackend final : public LabelerBackend {
+class OfflineBackend final : public LabelerBackend, public Labeling {
 public:
-  explicit OfflineBackend(CompiledTables Tables)
-      : Tables(std::move(Tables)), Labeler(this->Tables) {}
-
   BackendKind kind() const override { return BackendKind::Offline; }
   const Labeling &labelFunction(ir::IRFunction &F, LabelerScratch &,
-                                SelectionStats *Stats) override {
-    Labeler.labelFunction(F, Stats);
-    return Labeler;
-  }
+                                SelectionStats *Stats) override;
   bool supportsDynCosts() const override { return false; }
   unsigned numStates() const override { return Tables.stats().NumStates; }
   std::size_t memoryBytes() const override {
     return Tables.stats().TableBytes;
   }
+  const CompiledTables *tables() const override { return &Tables; }
 
-  const CompiledTables &tables() const { return Tables; }
+  RuleId ruleFor(const ir::Node &N, NonterminalId Nt) const override {
+    return Tables.stateById(N.label())->ruleOf(Nt);
+  }
+  Cost costFor(const ir::Node &N, NonterminalId Nt) const override {
+    return Tables.stateById(N.label())->costOf(Nt);
+  }
 
 private:
+  friend class LabelerBackend;
+  explicit OfflineBackend(CompiledTables T)
+      : Tables(std::move(T)), View(Tables.makePartitionView()) {}
+
   CompiledTables Tables;
-  TableLabeler Labeler;
+  /// Borrows Tables' storage. Never moved after construction.
+  OfflinePartitionView View;
 };
 
 /// The on-demand automaton behind the backend interface. One shared
@@ -243,44 +270,24 @@ protected:
 /// rejects.
 class HybridBackend final : public OnDemandBackend {
 public:
-  /// Computes the partition, generates subset tables (propagating typed
-  /// generation failures such as StateLimitExceeded), and arms the
-  /// automaton. Cannot fail with UnsupportedDynamicCosts: dyn-cost
-  /// operators land in the remainder by construction.
-  static Expected<std::unique_ptr<HybridBackend>>
-  create(const Grammar &G, const DynCostTable *Dyn, const Options &Opts);
-
-  /// As create() over already-generated (typically disk-loaded) tables.
-  /// Fails with ErrorKind::MalformedInput when \p Tables' partition
-  /// membership differs from the one compute() yields for \p G — a
-  /// partition-shape mismatch means the dump belongs to a different
-  /// grammar or policy version and must be regenerated.
-  static Expected<std::unique_ptr<HybridBackend>>
-  createWithTables(const Grammar &G, const DynCostTable *Dyn,
-                   const Options &Opts, CompiledTables Tables);
-
   BackendKind kind() const override { return BackendKind::Hybrid; }
   /// Automaton states (seeded offline states included) plus nothing else:
   /// the tables' states are the seeded ones, already counted.
   std::size_t memoryBytes() const override {
     return OnDemandBackend::memoryBytes() + Tables.stats().TableBytes;
   }
-
-  /// The static partition's compiled tables (dump() these to persist the
-  /// partition across processes — odburg-serve --tables).
-  const CompiledTables &tables() const { return Tables; }
-  const GrammarPartition &partition() const { return Part; }
+  const CompiledTables *tables() const override { return &Tables; }
 
 private:
+  friend class LabelerBackend;
   HybridBackend(const Grammar &G, const DynCostTable *Dyn,
-                const Options &Opts, GrammarPartition P, CompiledTables T)
-      : OnDemandBackend(G, Dyn, Opts), Part(std::move(P)),
-        Tables(std::move(T)), View(Tables.makePartitionView()) {
+                const Options &Opts, CompiledTables T)
+      : OnDemandBackend(G, Dyn, Opts), Tables(std::move(T)),
+        View(Tables.makePartitionView()) {
     A.seedStatesFrom(Tables.stateTable());
     A.attachOfflinePartition(&View);
   }
 
-  GrammarPartition Part;
   CompiledTables Tables;
   /// Borrows Tables' storage; attached to (and outlives every use by) A,
   /// which this object owns. Never moved after construction.

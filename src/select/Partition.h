@@ -18,7 +18,7 @@
 /// The partition is a pure function of the grammar, so two processes
 /// (or a dump and a later load) computing it independently agree —
 /// membership is compared byte-for-byte when CompiledTables come from
-/// disk (see HybridBackend).
+/// disk (see LabelerBackend::createWithTables).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -49,10 +49,10 @@ struct SelectionStats {
   std::uint64_t StatesComputed = 0;
   /// Dynamic-cost hook evaluations.
   std::uint64_t DynCostEvals = 0;
-  /// Dense-table lookups (offline labeler fast path).
-  std::uint64_t TableLookups = 0;
-  /// Hybrid backend: nodes resolved by direct offline-partition table
-  /// indexing, skipping key construction and the cache probe.
+  /// Nodes resolved by direct offline-table indexing: every node on the
+  /// offline backend; on the hybrid, the static-partition nodes over
+  /// offline-known children, which skip key construction and the cache
+  /// probe.
   std::uint64_t OfflineHits = 0;
 
   void reset() { *this = SelectionStats(); }
@@ -69,7 +69,6 @@ struct SelectionStats {
     DenseHits += R.DenseHits;
     StatesComputed += R.StatesComputed;
     DynCostEvals += R.DynCostEvals;
-    TableLookups += R.TableLookups;
     OfflineHits += R.OfflineHits;
     return *this;
   }
@@ -78,7 +77,7 @@ struct SelectionStats {
   /// software stand-in for the executed-instructions metric of the paper.
   std::uint64_t workUnits() const {
     return RuleChecks + ChainRelaxations + CacheProbes + StatesComputed +
-           DynCostEvals + TableLookups + OfflineHits;
+           DynCostEvals + OfflineHits;
   }
 };
 

@@ -11,8 +11,8 @@
 #include "grammar/Synthesize.h"
 
 #include "core/OnDemandAutomaton.h"
-#include "offline/OfflineTables.h"
 #include "select/DPLabeler.h"
+#include "select/LabelerBackend.h"
 #include "select/Oracle.h"
 #include "workload/Synthetic.h"
 
@@ -68,12 +68,13 @@ TEST_P(SynthFuzz, AllEnginesAgreeOnRandomGrammars) {
   DPLabeling Ref = DPLabeler(G).label(F);
   OnDemandAutomaton A(G);
   A.labelFunction(F);
-  CompiledTables Tables = cantFail(OfflineTableGen(G).generate());
-  TableLabeler Off(Tables);
+  auto Off = cantFail(LabelerBackend::create(BackendKind::Offline, G));
+  const CompiledTables &Tables = *Off->tables();
   std::vector<StateId> OnDemandLabels;
   for (const ir::Node *N : F.nodes())
     OnDemandLabels.push_back(N->label());
-  Off.labelFunction(F);
+  LabelerScratch Scratch;
+  Off->labelFunction(F, Scratch);
 
   for (const ir::Node *N : F.nodes()) {
     const State *SOn = A.stateTable().byId(OnDemandLabels[N->id()]);

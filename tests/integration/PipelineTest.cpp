@@ -10,8 +10,8 @@
 
 #include "core/OnDemandAutomaton.h"
 #include "frontend/Lowering.h"
-#include "offline/OfflineTables.h"
 #include "select/DPLabeler.h"
+#include "select/LabelerBackend.h"
 #include "select/Reducer.h"
 #include "targets/AsmEmitter.h"
 #include "targets/Target.h"
@@ -82,9 +82,9 @@ TEST_P(Pipeline, OfflineEmitsIdenticalCodeOnFixedGrammar) {
   Selection SRef = cantFail(reduce(T->Fixed, F, Ref));
   AsmBuffer AsmRef = emit(T->Fixed, F, SRef);
 
-  CompiledTables Tables = cantFail(OfflineTableGen(T->Fixed).generate());
-  TableLabeler L(Tables);
-  L.labelFunction(F);
+  auto B = cantFail(LabelerBackend::create(BackendKind::Offline, T->Fixed));
+  LabelerScratch Scratch;
+  const Labeling &L = B->labelFunction(F, Scratch);
   Selection SOff = cantFail(reduce(T->Fixed, F, L));
   AsmBuffer AsmOff = emit(T->Fixed, F, SOff);
 

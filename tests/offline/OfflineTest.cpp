@@ -12,6 +12,7 @@
 #include "grammar/Transform.h"
 #include "select/DPLabeler.h"
 #include "select/Partition.h"
+#include "select/LabelerBackend.h"
 #include "select/Reducer.h"
 #include "targets/Target.h"
 #include "TestUtil.h"
@@ -105,6 +106,12 @@ TEST(Offline, GenerationFingerprintsArePinned) {
     CompiledTables Subset =
         cantFail(OfflineTableGen(T->G).generateSubset(Part.InPartition));
     EXPECT_EQ(Subset.fingerprint(), P.Subset) << P.Target;
+    // One table format: over a dyn-free grammar the hybrid's partition is
+    // every operator, and its subset generation is the full generation.
+    GrammarPartition FixedPart = GrammarPartition::compute(T->Fixed);
+    CompiledTables FixedSubset = cantFail(
+        OfflineTableGen(T->Fixed).generateSubset(FixedPart.InPartition));
+    EXPECT_EQ(FixedSubset.fingerprint(), P.Full) << P.Target;
   }
 
   // The 50-operator --smoke sibling of bench_p3_backends' P3b grammar.
@@ -133,12 +140,12 @@ TEST(Offline, FingerprintDiscriminatesGrammars) {
 
 TEST(Offline, LabelerMatchesDPOnPaperExample) {
   Grammar G = cantFail(parseGrammar(test::runningExampleFixedText()));
-  CompiledTables T = cantFail(OfflineTableGen(G).generate());
+  auto B = cantFail(LabelerBackend::create(BackendKind::Offline, G));
   ir::IRFunction F;
   test::buildStoreTree(F, G, 1, 1, 2);
   DPLabeling Ref = DPLabeler(G).label(F);
-  TableLabeler L(T);
-  L.labelFunction(F);
+  LabelerScratch Scratch;
+  const Labeling &L = B->labelFunction(F, Scratch);
   for (const ir::Node *N : F.nodes())
     for (NonterminalId Nt = 0; Nt < G.numNonterminals(); ++Nt)
       EXPECT_EQ(L.ruleFor(*N, Nt), Ref.ruleFor(*N, Nt))
@@ -151,8 +158,8 @@ TEST_P(OfflineProperty, AgreesWithOnDemandExactly) {
   // Offline and on-demand both produce delta-normalized states, so their
   // costs and rules must agree *exactly* on every node.
   Grammar G = cantFail(parseGrammar(test::runningExampleFixedText()));
-  CompiledTables T = cantFail(OfflineTableGen(G).generate());
-  TableLabeler Off(T);
+  auto Off = cantFail(LabelerBackend::create(BackendKind::Offline, G));
+  const CompiledTables &T = *Off->tables();
   OnDemandAutomaton A(G);
 
   ir::IRFunction F;
@@ -163,7 +170,8 @@ TEST_P(OfflineProperty, AgreesWithOnDemandExactly) {
   std::vector<StateId> OnDemandStates;
   for (const ir::Node *N : F.nodes())
     OnDemandStates.push_back(N->label());
-  Off.labelFunction(F);
+  LabelerScratch Scratch;
+  Off->labelFunction(F, Scratch);
 
   for (const ir::Node *N : F.nodes()) {
     const State *SOff = T.stateById(N->label());
@@ -216,11 +224,11 @@ TEST(Offline, StrippedGrammarRoundTrip) {
   // generate offline tables for the fixed-cost variant.
   Grammar G = cantFail(parseGrammar(test::runningExampleText()));
   Grammar Fixed = cantFail(withoutDynCostRules(G));
-  CompiledTables T = cantFail(OfflineTableGen(Fixed).generate());
+  auto B = cantFail(LabelerBackend::create(BackendKind::Offline, Fixed));
   ir::IRFunction F;
   test::buildStoreTree(F, Fixed, 1, 1, 2);
-  TableLabeler L(T);
-  L.labelFunction(F);
+  LabelerScratch Scratch;
+  const Labeling &L = B->labelFunction(F, Scratch);
   // Without rule 6, the best stmt cover costs 3 (rules 5+4+3).
   Selection S = cantFail(reduce(Fixed, F, L));
   EXPECT_EQ(S.TotalCost, Cost(3));
@@ -228,14 +236,14 @@ TEST(Offline, StrippedGrammarRoundTrip) {
 
 TEST(Offline, SelectionsMatchDP) {
   Grammar G = cantFail(parseGrammar(test::runningExampleFixedText()));
-  CompiledTables T = cantFail(OfflineTableGen(G).generate());
+  auto B = cantFail(LabelerBackend::create(BackendKind::Offline, G));
   ir::IRFunction F;
   test::buildStoreTree(F, G, 1, 1, 2);
   test::buildStoreTree(F, G, 2, 9, 4);
   DPLabeling Ref = DPLabeler(G).label(F);
   Selection SRef = cantFail(reduce(G, F, Ref));
-  TableLabeler L(T);
-  L.labelFunction(F);
+  LabelerScratch Scratch;
+  const Labeling &L = B->labelFunction(F, Scratch);
   Selection SOff = cantFail(reduce(G, F, L));
   ASSERT_EQ(SRef.Matches.size(), SOff.Matches.size());
   for (std::size_t I = 0; I < SRef.Matches.size(); ++I)
@@ -271,13 +279,18 @@ TEST(Offline, DumpLoadRoundTripsTheAutomaton) {
   // Loaded tables label exactly like the generating tables.
   ir::IRFunction F;
   test::buildStoreTree(F, G, 1, 1, 2);
-  TableLabeler Ref(T);
-  Ref.labelFunction(F);
+  LabelerScratch Scratch;
+  auto Ref = cantFail(LabelerBackend::createWithTables(
+      BackendKind::Offline, G, nullptr, LabelerBackend::Options(),
+      std::move(T)));
+  Ref->labelFunction(F, Scratch);
   std::vector<std::uint32_t> RefLabels;
   for (const ir::Node *N : F.nodes())
     RefLabels.push_back(N->label());
-  TableLabeler Loaded(L);
-  Loaded.labelFunction(F);
+  auto Loaded = cantFail(LabelerBackend::createWithTables(
+      BackendKind::Offline, G, nullptr, LabelerBackend::Options(),
+      std::move(L)));
+  Loaded->labelFunction(F, Scratch);
   for (std::size_t I = 0; I < F.nodes().size(); ++I)
     EXPECT_EQ(F.nodes()[I]->label(), RefLabels[I]);
 }

@@ -900,10 +900,12 @@ TEST(CompileSession, BackendOptionSelectsEngineAndPreservesOutput) {
     switch (Kind) {
     case BackendKind::DP:
       EXPECT_GT(Stats.RuleChecks, 0u);
-      EXPECT_EQ(Stats.TableLookups, 0u);
+      EXPECT_EQ(Stats.OfflineHits, 0u);
       break;
     case BackendKind::Offline:
-      EXPECT_GT(Stats.TableLookups, 0u);
+      // Every node is one direct table index.
+      EXPECT_GT(Stats.NodesLabeled, 0u);
+      EXPECT_EQ(Stats.OfflineHits, Stats.NodesLabeled);
       EXPECT_EQ(Stats.CacheProbes, 0u);
       break;
     case BackendKind::OnDemand:

@@ -348,6 +348,42 @@ TEST(GrammarRegistry, SpoolsCompiledTablesAndLoadsThemOnRestart) {
   }
 }
 
+TEST(GrammarRegistry, PartitionedDumpOfferedAsOfflineTablesFailsTyped) {
+  // A hybrid's partitioned dump copied over the offline lane's tables
+  // passes CompiledTables::load (every member operator is dyn-free) but
+  // has no rows for the dyn-cost remainder. The offline lane must refuse
+  // it, fall back to generation, and report the grammar's dynamic costs
+  // typed — not label with it and crash.
+  TempDir D;
+  auto Register = [](GrammarRegistry &R) {
+    auto T = cantFail(targets::makeTarget("x86"));
+    return cantFail(
+        R.registerGrammar("foo", std::move(T->G), std::move(T->Dyn)));
+  };
+  {
+    GrammarRegistry::Options O;
+    O.Dir = D.Path;
+    GrammarRegistry R(std::move(O));
+    Lease L = Register(R);
+    cantFail(L->backend(BackendKind::Hybrid));
+  }
+  ASSERT_TRUE(std::filesystem::exists(D.Path + "/foo.hybrid.tables"));
+  std::filesystem::copy_file(D.Path + "/foo.hybrid.tables",
+                             D.Path + "/foo.tables");
+
+  GrammarRegistry::Options O;
+  O.Dir = D.Path;
+  GrammarRegistry R(std::move(O));
+  Lease L = Register(R);
+  Expected<LabelerBackend *> Off = L->backend(BackendKind::Offline);
+  ASSERT_FALSE(static_cast<bool>(Off));
+  EXPECT_EQ(Off.kind(), ErrorKind::UnsupportedDynamicCosts) << Off.message();
+  EXPECT_EQ(R.statsSnapshot().TablesLoads, 0u);
+  // The dump still serves the lane it was written for.
+  warmBackend(L, BackendKind::Hybrid);
+  EXPECT_EQ(R.statsSnapshot().TablesLoads, 1u);
+}
+
 TEST(GrammarRegistry, WarmSnapshotsSurviveARestart) {
   TempDir D;
   writeFile(D.Path + "/example.odg", test::runningExampleText());

@@ -44,6 +44,16 @@ struct Fixture {
         Dyn(cantFail(DynCostTable::build(G, test::runningExampleHooks()))) {}
 };
 
+/// A freshly created hybrid backend over the fixture's grammar.
+std::unique_ptr<LabelerBackend> makeHybrid(const Fixture &FX) {
+  return cantFail(LabelerBackend::create(BackendKind::Hybrid, FX.G, &FX.Dyn));
+}
+
+/// The on-demand automaton inside an on-demand or hybrid backend.
+OnDemandAutomaton &automatonOf(LabelerBackend &B) {
+  return static_cast<OnDemandBackend &>(B).automaton();
+}
+
 /// Labels a deterministic mixed corpus so the automaton holds several
 /// states and memoized transitions worth snapshotting.
 void warmUp(OnDemandAutomaton &A, const Grammar &G) {
@@ -212,20 +222,19 @@ TEST(WarmSnapshot, RejectsWrongGrammarFingerprint) {
 
 TEST(WarmSnapshot, HybridSeededAutomatonRoundTrips) {
   Fixture FX;
-  LabelerBackend::Options Opts;
-  auto Warm = cantFail(HybridBackend::create(FX.G, &FX.Dyn, Opts));
-  unsigned Seeded = Warm->automaton().numStates();
+  auto Warm = makeHybrid(FX);
+  unsigned Seeded = automatonOf(*Warm).numStates();
   ASSERT_GT(Seeded, 0u) << "hybrid automaton should be table-seeded";
   LabelerScratch Scratch;
   ir::IRFunction F;
   test::buildStoreTree(F, FX.G, 0, 0, 1);
   Warm->labelFunction(F, Scratch, nullptr);
-  std::string Blob = snapshotBlob(Warm->automaton(), FX.G);
+  std::string Blob = snapshotBlob(automatonOf(*Warm), FX.G);
 
-  auto Fresh = cantFail(HybridBackend::create(FX.G, &FX.Dyn, Opts));
-  WarmSnapshotStats S = cantFail(loadBlob(Fresh->automaton(), FX.G, Blob));
-  EXPECT_EQ(S.NumStates, Warm->automaton().numStates());
-  EXPECT_EQ(Fresh->automaton().numStates(), Warm->automaton().numStates());
+  auto Fresh = makeHybrid(FX);
+  WarmSnapshotStats S = cantFail(loadBlob(automatonOf(*Fresh), FX.G, Blob));
+  EXPECT_EQ(S.NumStates, automatonOf(*Warm).numStates());
+  EXPECT_EQ(automatonOf(*Fresh).numStates(), automatonOf(*Warm).numStates());
 }
 
 TEST(WarmSnapshot, RejectsSnapshotSmallerThanSeededTables) {
@@ -235,10 +244,9 @@ TEST(WarmSnapshot, RejectsSnapshotSmallerThanSeededTables) {
   OnDemandAutomaton Empty(FX.G, &FX.Dyn);
   std::string Blob = snapshotBlob(Empty, FX.G);
 
-  LabelerBackend::Options Opts;
-  auto Hybrid = cantFail(HybridBackend::create(FX.G, &FX.Dyn, Opts));
-  ASSERT_GT(Hybrid->automaton().numStates(), 0u);
-  Expected<WarmSnapshotStats> L = loadBlob(Hybrid->automaton(), FX.G, Blob);
+  auto Hybrid = makeHybrid(FX);
+  ASSERT_GT(automatonOf(*Hybrid).numStates(), 0u);
+  Expected<WarmSnapshotStats> L = loadBlob(automatonOf(*Hybrid), FX.G, Blob);
   ASSERT_FALSE(static_cast<bool>(L));
   EXPECT_EQ(L.kind(), ErrorKind::MalformedInput);
   EXPECT_NE(L.message().find("stale"), std::string::npos) << L.message();
@@ -250,16 +258,15 @@ TEST(WarmSnapshot, RejectsTamperedSeededPrefix) {
   // it is internally consistent. Tamper a seeded state's cost word and
   // reseal the checksum to reach that layer.
   Fixture FX;
-  LabelerBackend::Options Opts;
-  auto Warm = cantFail(HybridBackend::create(FX.G, &FX.Dyn, Opts));
-  std::string Blob = snapshotBlob(Warm->automaton(), FX.G);
+  auto Warm = makeHybrid(FX);
+  std::string Blob = snapshotBlob(automatonOf(*Warm), FX.G);
 
   // State 0's record starts at the payload: op word, then the costs. The
   // guard pins the layout so a format change fails loudly here.
   ASSERT_GE(Blob.size(), PayloadOff + 2 * sizeof(std::uint32_t));
   std::uint32_t Op0 = 0;
   std::memcpy(&Op0, Blob.data() + PayloadOff, sizeof(Op0));
-  ASSERT_EQ(Op0, Warm->automaton().stateTable().byId(0)->Op)
+  ASSERT_EQ(Op0, automatonOf(*Warm).stateTable().byId(0)->Op)
       << "snapshot payload layout changed; update PayloadOff";
   std::uint32_t Cost0 = 0;
   std::memcpy(&Cost0, Blob.data() + PayloadOff + 4, sizeof(Cost0));
@@ -267,8 +274,8 @@ TEST(WarmSnapshot, RejectsTamperedSeededPrefix) {
   std::memcpy(Blob.data() + PayloadOff + 4, &Cost0, sizeof(Cost0));
   resealChecksum(Blob);
 
-  auto Fresh = cantFail(HybridBackend::create(FX.G, &FX.Dyn, Opts));
-  Expected<WarmSnapshotStats> L = loadBlob(Fresh->automaton(), FX.G, Blob);
+  auto Fresh = makeHybrid(FX);
+  Expected<WarmSnapshotStats> L = loadBlob(automatonOf(*Fresh), FX.G, Blob);
   ASSERT_FALSE(static_cast<bool>(L));
   EXPECT_EQ(L.kind(), ErrorKind::MalformedInput);
   EXPECT_NE(L.message().find("stale"), std::string::npos) << L.message();

@@ -17,6 +17,7 @@
 
 #include "grammar/GrammarParser.h"
 #include "pipeline/CompileService.h"
+#include "select/Partition.h"
 #include "targets/Target.h"
 #include "workload/Synthetic.h"
 #include "TestUtil.h"
@@ -209,8 +210,9 @@ TEST(LabelerBackend, HybridCreateWithTablesChecksPartitionShape) {
   // Matching membership: accepted, and labels like a freshly built hybrid.
   CompiledTables Good =
       cantFail(OfflineTableGen(G).generateSubset(P.InPartition));
-  auto B = cantFail(HybridBackend::createWithTables(
-      G, &Dyn, LabelerBackend::Options(), std::move(Good)));
+  auto B = cantFail(LabelerBackend::createWithTables(
+      BackendKind::Hybrid, G, &Dyn, LabelerBackend::Options(),
+      std::move(Good)));
   ir::IRFunction F;
   test::buildStoreTree(F, G, 1, 1, 2);
   DPLabeling Ref = DPLabeler(G, &Dyn).label(F);
@@ -222,12 +224,49 @@ TEST(LabelerBackend, HybridCreateWithTablesChecksPartitionShape) {
   std::vector<std::uint8_t> Wrong = P.InPartition;
   Wrong[G.findOperator("Plus")] = 0;
   CompiledTables Narrow = cantFail(OfflineTableGen(G).generateSubset(Wrong));
-  Expected<std::unique_ptr<HybridBackend>> Bad =
-      HybridBackend::createWithTables(G, &Dyn, LabelerBackend::Options(),
-                                      std::move(Narrow));
+  Expected<std::unique_ptr<LabelerBackend>> Bad =
+      LabelerBackend::createWithTables(BackendKind::Hybrid, G, &Dyn,
+                                       LabelerBackend::Options(),
+                                       std::move(Narrow));
   ASSERT_FALSE(static_cast<bool>(Bad));
   EXPECT_EQ(Bad.kind(), ErrorKind::MalformedInput);
   EXPECT_NE(Bad.message().find("partition"), std::string::npos);
+}
+
+TEST(LabelerBackend, OfflineCreateWithTablesRejectsPartitionedTables) {
+  // A hybrid's partitioned tables have no rows for the dyn-cost
+  // remainder, which the offline backend could not label: a typed error,
+  // never a crash at the first excluded node. Full tables are accepted.
+  Grammar G = cantFail(parseGrammar(test::runningExampleText()));
+  GrammarPartition P = GrammarPartition::compute(G);
+  ASSERT_GT(P.numDynamic(), 0u);
+  CompiledTables Part =
+      cantFail(OfflineTableGen(G).generateSubset(P.InPartition));
+  Expected<std::unique_ptr<LabelerBackend>> Bad =
+      LabelerBackend::createWithTables(BackendKind::Offline, G, nullptr,
+                                       LabelerBackend::Options(),
+                                       std::move(Part));
+  ASSERT_FALSE(static_cast<bool>(Bad));
+  EXPECT_EQ(Bad.kind(), ErrorKind::MalformedInput);
+  EXPECT_NE(Bad.message().find("partition"), std::string::npos)
+      << Bad.message();
+
+  Grammar Fixed = cantFail(parseGrammar(test::runningExampleFixedText()));
+  CompiledTables Full = cantFail(OfflineTableGen(Fixed).generate());
+  auto B = cantFail(LabelerBackend::createWithTables(
+      BackendKind::Offline, Fixed, nullptr, LabelerBackend::Options(),
+      std::move(Full)));
+  EXPECT_EQ(B->kind(), BackendKind::Offline);
+  ASSERT_NE(B->tables(), nullptr);
+
+  // Backends that label from no tables take none.
+  CompiledTables Spare = cantFail(OfflineTableGen(Fixed).generate());
+  Expected<std::unique_ptr<LabelerBackend>> OD =
+      LabelerBackend::createWithTables(BackendKind::OnDemand, Fixed, nullptr,
+                                       LabelerBackend::Options(),
+                                       std::move(Spare));
+  ASSERT_FALSE(static_cast<bool>(OD));
+  EXPECT_EQ(OD.kind(), ErrorKind::MalformedInput);
 }
 
 TEST(LabelerBackend, IntrospectionMatchesEngines) {
@@ -322,11 +361,11 @@ TEST(LabelerBackend, MemoryBytesAgreeAcrossAutomatonBackendAndSession) {
     // A warm pass adds nothing. The on-demand backend's number is its
     // automaton's, the hybrid's adds its offline tables.
     EXPECT_EQ(B.memoryBytes(), Cold) << backendName(K);
-    std::size_t Tables =
-        K == BackendKind::Hybrid
-            ? static_cast<const HybridBackend &>(B).tables().stats().TableBytes
-            : 0;
-    EXPECT_EQ(B.memoryBytes(), A.memoryBytes() + Tables) << backendName(K);
+    const CompiledTables *Tables = B.tables();
+    ASSERT_EQ(Tables != nullptr, K == BackendKind::Hybrid) << backendName(K);
+    std::size_t TableBytes = Tables ? Tables->stats().TableBytes : 0;
+    EXPECT_EQ(B.memoryBytes(), A.memoryBytes() + TableBytes)
+        << backendName(K);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "core/OnDemandAutomaton.h"
 #include "offline/OfflineTables.h"
+#include "select/LabelerBackend.h"
 #include "select/DPLabeler.h"
 #include "select/Reducer.h"
 #include "workload/Synthetic.h"
@@ -86,9 +87,9 @@ TEST_P(TargetSuite, OfflineAgreesOnFixedGrammar) {
   DPLabeling Ref = DPLabeler(T->Fixed).label(F);
   Selection SRef = cantFail(reduce(T->Fixed, F, Ref));
 
-  CompiledTables Tables = cantFail(OfflineTableGen(T->Fixed).generate());
-  TableLabeler L(Tables);
-  L.labelFunction(F);
+  auto B = cantFail(LabelerBackend::create(BackendKind::Offline, T->Fixed));
+  LabelerScratch Scratch;
+  const Labeling &L = B->labelFunction(F, Scratch);
   Selection SOff = cantFail(reduce(T->Fixed, F, L));
 
   ASSERT_EQ(SRef.Matches.size(), SOff.Matches.size());

@@ -27,8 +27,10 @@
 ///
 /// --tables=PATH makes the offline and hybrid backends pay table
 /// generation once per grammar across processes: load the tables from
-/// PATH when present (validated by fingerprint — and, for the hybrid,
-/// by partition membership), generate and save them when not.
+/// PATH when present (validated by fingerprint and by partition
+/// membership — every operator for offline, the grammar's static
+/// partition for the hybrid), generate and save them when not. The
+/// registry spool does the same through the same function.
 ///
 ///   odburg-run --target=x86 --fixed --dump-corpus=c.sexpr --emit-asm=b.s
 ///   odburg-serve --target=x86 --fixed < c.sexpr | cmp - b.s
@@ -119,7 +121,10 @@ int usage(const char *Argv0, int Exit) {
       "  --tables=PATH         offline/hybrid backends: load the compiled\n"
       "                        tables from PATH if present (fingerprint-\n"
       "                        and partition-checked), else generate and\n"
-      "                        save them there\n"
+      "                        save them there (tmp file + rename). A\n"
+      "                        dyn-free grammar's tables serve both\n"
+      "                        backends; a partitioned hybrid dump is\n"
+      "                        regenerated for offline\n"
       "  --listen=PORT         serve over TCP instead of stdin/stdout\n"
       "                        (0 = ephemeral port). Clients speak the same\n"
       "                        wire format, may pick a backend per\n"
@@ -330,77 +335,6 @@ std::string jsonEscape(std::string_view S) {
   return Out;
 }
 
-/// Builds the service's backend, honoring --tables for the offline and
-/// hybrid kinds: load when the file exists and validates (fingerprint,
-/// and for the hybrid the stored partition membership must match this
-/// grammar's computed partition), otherwise create normally and save the
-/// freshly generated tables.
-Expected<std::unique_ptr<LabelerBackend>>
-makeBackend(const ServeOptions &Opts, const Grammar &G,
-            const DynCostTable *Dyn) {
-  LabelerBackend::Options BOpts;
-  const bool TabledKind = Opts.Backend == BackendKind::Offline ||
-                          Opts.Backend == BackendKind::Hybrid;
-
-  if (TabledKind && !Opts.TablesPath.empty()) {
-    if (std::ifstream In{Opts.TablesPath, std::ios::binary}) {
-      Expected<CompiledTables> Tables = CompiledTables::load(In, G);
-      if (Tables) {
-        unsigned NumStates = Tables->stats().NumStates;
-        double GenerationMs = Tables->stats().GenerationMs;
-        Expected<std::unique_ptr<LabelerBackend>> Loaded =
-            Opts.Backend == BackendKind::Offline
-                ? Expected<std::unique_ptr<LabelerBackend>>(
-                      std::make_unique<OfflineBackend>(std::move(*Tables)))
-                : [&]() -> Expected<std::unique_ptr<LabelerBackend>> {
-                    Expected<std::unique_ptr<HybridBackend>> H =
-                        HybridBackend::createWithTables(G, Dyn, BOpts,
-                                                        std::move(*Tables));
-                    if (!H)
-                      return H.takeError();
-                    return std::unique_ptr<LabelerBackend>(std::move(*H));
-                  }();
-        if (Loaded) {
-          std::fprintf(stderr, "odburg-serve: loaded offline tables from %s "
-                               "(%u states, %.1f ms)\n",
-                       Opts.TablesPath.c_str(), NumStates, GenerationMs);
-          return Loaded;
-        }
-        std::fprintf(stderr,
-                     "odburg-serve: ignoring %s (%s); regenerating tables\n",
-                     Opts.TablesPath.c_str(), Loaded.message().c_str());
-      } else {
-        std::fprintf(stderr,
-                     "odburg-serve: ignoring %s (%s); regenerating tables\n",
-                     Opts.TablesPath.c_str(), Tables.message().c_str());
-      }
-    }
-  }
-
-  Expected<std::unique_ptr<LabelerBackend>> Backend =
-      LabelerBackend::create(Opts.Backend, G, Dyn, BOpts);
-  if (!Backend)
-    return Backend;
-
-  if (TabledKind && !Opts.TablesPath.empty()) {
-    const CompiledTables &Tables =
-        Opts.Backend == BackendKind::Offline
-            ? static_cast<const OfflineBackend &>(**Backend).tables()
-            : static_cast<const HybridBackend &>(**Backend).tables();
-    std::ofstream Out(Opts.TablesPath, std::ios::binary | std::ios::trunc);
-    Error E = Out ? Tables.dump(Out)
-                  : Error::make("cannot open '" + Opts.TablesPath +
-                                "' for writing");
-    if (E)
-      std::fprintf(stderr, "odburg-serve: could not save tables: %s\n",
-                   E.message().c_str());
-    else
-      std::fprintf(stderr, "odburg-serve: saved offline tables to %s\n",
-                   Opts.TablesPath.c_str());
-  }
-  return Backend;
-}
-
 /// Self-pipe for signal-driven shutdown: the handler writes one byte (the
 /// only async-signal-safe notification we need), main blocks in read.
 int SignalPipe[2] = {-1, -1};
@@ -602,8 +536,29 @@ int main(int Argc, char **Argv) {
   const Grammar &G = Fixed ? T.Fixed : T.G;
   const DynCostTable *Dyn = Fixed ? nullptr : &T.Dyn;
 
+  // --tables: load the offline/hybrid tables when the file validates,
+  // otherwise generate and save them; log what happened to the file.
+  const char *TablesPath = Opts.TablesPath.c_str();
+  registry::TablesSpoolReport Spool;
   Expected<std::unique_ptr<LabelerBackend>> Backend =
-      makeBackend(Opts, G, Dyn);
+      registry::createSpooledBackend(Opts.Backend, G, Dyn,
+                                     LabelerBackend::Options(),
+                                     Opts.TablesPath, /*Save=*/true, Spool);
+  if (Spool.Loaded)
+    std::fprintf(stderr, "odburg-serve: loaded offline tables from %s "
+                         "(%u states, %.1f ms)\n",
+                 TablesPath, (*Backend)->tables()->stats().NumStates,
+                 (*Backend)->tables()->stats().GenerationMs);
+  if (!Spool.Rejected.empty())
+    std::fprintf(stderr,
+                 "odburg-serve: ignoring %s (%s); regenerating tables\n",
+                 TablesPath, Spool.Rejected.c_str());
+  if (!Spool.SaveError.empty())
+    std::fprintf(stderr, "odburg-serve: could not save tables: %s\n",
+                 Spool.SaveError.c_str());
+  if (Spool.Saved)
+    std::fprintf(stderr, "odburg-serve: saved offline tables to %s\n",
+                 TablesPath);
   if (!Backend) {
     std::fprintf(stderr, "error: %s backend: %s\n", backendName(Opts.Backend),
                  Backend.message().c_str());
